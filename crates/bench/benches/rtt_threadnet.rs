@@ -123,7 +123,7 @@ fn bench_threadnet_volley(c: &mut Criterion) {
     let z = b.add_node(Paddle {
         completed: completed.clone(),
     });
-    let net = b.start();
+    let net = b.start().expect("channels open");
     run_volley(c, "threadnet/100_hop_volley", &completed, |ball| {
         net.inject(a, z, ball)
     });
@@ -293,7 +293,7 @@ fn bench_request_cycle_channel(c: &mut Criterion) {
     }
     b.add_node(proxy);
     let client_node = b.add_node(client);
-    let net = b.start();
+    let net = b.start().expect("channels open");
     run_request_cycle(c, "threadnet/request_cycle", &completed, |req| {
         net.inject(client_node, client_node, req)
     });
@@ -344,7 +344,7 @@ fn record_summary() {
     let z = b.add_node(Paddle {
         completed: completed.clone(),
     });
-    let net = b.start();
+    let net = b.start().expect("channels open");
     let volley_us = time_mean_us(50, || {
         let before = completed.load(Ordering::SeqCst);
         net.inject(a, z, Ball::new(100));

@@ -30,6 +30,8 @@ use std::process::ExitCode;
 
 use whisper_bench::experiments::substrate_matrix::{self, MatrixTuning, SubstrateOutcome};
 use whisper_bench::BenchSummary;
+use whisper_simnet::tcpnet::TcpTransport;
+use whisper_simnet::threadnet::ChannelTransport;
 use whisper_simnet::{FaultPlan, SimDuration, SimTime};
 
 /// Replays a custom plan on all three substrates; the horizon is the last
@@ -51,12 +53,12 @@ fn run_custom_plan(tuning: &MatrixTuning, plan: &FaultPlan) -> Vec<SubstrateOutc
     rows.push(substrate_matrix::run_plan_on(&mut sim, plan, horizon));
 
     let mut threads = dep
-        .boot_threadnet()
+        .boot_live::<ChannelTransport>()
         .expect("the matrix scenario is well-formed");
     rows.push(substrate_matrix::run_plan_on(&mut threads, plan, horizon));
     threads.net.shutdown();
 
-    let mut tcp = dep.boot_tcp().expect("loopback sockets");
+    let mut tcp = dep.boot_live::<TcpTransport>().expect("loopback sockets");
     rows.push(substrate_matrix::run_plan_on(&mut tcp, plan, horizon));
     tcp.net.shutdown();
 

@@ -25,6 +25,8 @@ use std::process::ExitCode;
 use whisper_bench::experiments::postmortem::{self, PostmortemOutcome};
 use whisper_bench::experiments::substrate_matrix::MatrixTuning;
 use whisper_bench::BenchSummary;
+use whisper_simnet::tcpnet::TcpTransport;
+use whisper_simnet::threadnet::ChannelTransport;
 
 struct Options {
     substrate: String,
@@ -74,13 +76,15 @@ fn run(substrate: &str, t: &MatrixTuning) -> Vec<PostmortemOutcome> {
             postmortem::run_on(&mut booted, t)
         }
         "threadnet" => {
-            let mut booted = dep.boot_threadnet().expect("well-formed scenario");
+            let mut booted = dep
+                .boot_live::<ChannelTransport>()
+                .expect("well-formed scenario");
             let row = postmortem::run_on(&mut booted, t);
             booted.net.shutdown();
             row
         }
         _ => {
-            let mut booted = dep.boot_tcp().expect("loopback sockets");
+            let mut booted = dep.boot_live::<TcpTransport>().expect("loopback sockets");
             let row = postmortem::run_on(&mut booted, t);
             booted.net.shutdown();
             row

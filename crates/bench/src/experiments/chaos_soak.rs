@@ -462,7 +462,7 @@ pub fn run_soak_threadnet(t: &ChaosTuning, seed: u64) -> SoakOutcome {
     let mut builder = ThreadNetBuilder::new();
     builder.set_chaos_seed(seed);
     let rig = wire_with_driver(&mut builder, t);
-    let mut net = builder.start();
+    let mut net = builder.start().expect("channels open");
     let out = run_soak(&mut net, &rig, t);
     net.shutdown();
     out
@@ -577,7 +577,7 @@ pub fn race(t: &ChaosTuning) -> RaceOutcome {
     let crash_recovery = {
         let mut builder = ThreadNetBuilder::new();
         let rig = wire_with_driver(&mut builder, t);
-        let mut net = builder.start();
+        let mut net = builder.start().expect("channels open");
         let d = race_leg(&mut net, &rig, RaceLeg::Crash);
         net.shutdown();
         d
@@ -585,7 +585,7 @@ pub fn race(t: &ChaosTuning) -> RaceOutcome {
     let fail_slow_recovery = {
         let mut builder = ThreadNetBuilder::new();
         let rig = wire_with_driver(&mut builder, t);
-        let mut net = builder.start();
+        let mut net = builder.start().expect("channels open");
         let d = race_leg(&mut net, &rig, RaceLeg::FailSlow(t.slow_factor));
         net.shutdown();
         d

@@ -24,6 +24,8 @@ use crate::Table;
 use whisper::deploy::{Booted, Deployment};
 use whisper::{ClientConfigTemplate, WhisperMsg, Workload};
 use whisper_obs::{FlightEventKind, IncidentTimeline, SloConfig, SloEngine, SloEvent};
+use whisper_simnet::tcpnet::TcpTransport;
+use whisper_simnet::threadnet::ChannelTransport;
 use whisper_simnet::{SimDuration, SimTime, Substrate};
 use whisper_xml::Element;
 
@@ -218,12 +220,12 @@ pub fn run_matrix(t: &MatrixTuning) -> Vec<PostmortemOutcome> {
     rows.push(run_on(&mut sim, t));
 
     let mut threads = dep
-        .boot_threadnet()
+        .boot_live::<ChannelTransport>()
         .expect("the postmortem scenario is well-formed");
     rows.push(run_on(&mut threads, t));
     threads.net.shutdown();
 
-    let mut tcp = dep.boot_tcp().expect("loopback sockets");
+    let mut tcp = dep.boot_live::<TcpTransport>().expect("loopback sockets");
     rows.push(run_on(&mut tcp, t));
     tcp.net.shutdown();
 

@@ -21,6 +21,8 @@ use crate::Table;
 use whisper::deploy::{Booted, Deployment, Topology};
 use whisper::WhisperMsg;
 use whisper_election::BullyConfig;
+use whisper_simnet::tcpnet::TcpTransport;
+use whisper_simnet::threadnet::ChannelTransport;
 use whisper_simnet::{FaultPlan, SimDuration, SimTime, Substrate};
 
 /// Scenario shape and fault schedule, shared by every substrate.
@@ -185,12 +187,12 @@ pub fn run_matrix(t: &MatrixTuning) -> Vec<SubstrateOutcome> {
     rows.push(run_on(&mut sim, t));
 
     let mut threads = dep
-        .boot_threadnet()
+        .boot_live::<ChannelTransport>()
         .expect("the matrix scenario is well-formed");
     rows.push(run_on(&mut threads, t));
     threads.net.shutdown();
 
-    let mut tcp = dep.boot_tcp().expect("loopback sockets");
+    let mut tcp = dep.boot_live::<TcpTransport>().expect("loopback sockets");
     rows.push(run_on(&mut tcp, t));
     tcp.net.shutdown();
 
@@ -312,7 +314,7 @@ mod tests {
         assert_eq!(sim_row.substrate, "sim");
         assert_outcome_sane(&sim_row, &t);
 
-        let mut live = dep.boot_threadnet().expect("well-formed");
+        let mut live = dep.boot_live::<ChannelTransport>().expect("well-formed");
         let live_row = run_on(&mut live, &t);
         live.net.shutdown();
         assert_eq!(live_row.substrate, "threadnet");

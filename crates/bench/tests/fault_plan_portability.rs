@@ -12,6 +12,7 @@
 use whisper::deploy::Booted;
 use whisper::WhisperMsg;
 use whisper_bench::experiments::substrate_matrix::{self, MatrixTuning};
+use whisper_simnet::threadnet::ChannelTransport;
 use whisper_simnet::{FaultPlan, SimTime, Substrate};
 
 /// The schedule: kill the Bully winner after warmup, restart it, let it
@@ -82,7 +83,9 @@ fn same_plan_same_outage_story_on_sim_and_threadnet() {
     let mut sim = dep.boot_sim(5).expect("well-formed scenario");
     let sim_trace = outage_trace(&mut sim, &t);
 
-    let mut live = dep.boot_threadnet().expect("well-formed scenario");
+    let mut live = dep
+        .boot_live::<ChannelTransport>()
+        .expect("well-formed scenario");
     let live_trace = outage_trace(&mut live, &t);
     live.net.shutdown();
 

@@ -257,7 +257,7 @@ fn burst_with_mid_kill<N: Substrate<WhisperMsg>>(
 fn threadnet_burst_survives_mid_burst_coordinator_kill() {
     let mut builder = ThreadNetBuilder::new();
     let (topo, driver, responses, coordinators) = wire_with_driver(&mut builder, 3);
-    let mut net = builder.start();
+    let mut net = builder.start().expect("channels open");
     burst_with_mid_kill(&mut net, &topo, driver, &responses, &coordinators);
     net.shutdown();
 }

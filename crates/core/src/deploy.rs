@@ -11,9 +11,9 @@
 //!
 //! [`Deployment`] is the reusable form: instead of boxed backends it holds
 //! backend *factories*, so the same description can be booted repeatedly —
-//! [`Deployment::boot_sim`], [`Deployment::boot_threadnet`] and
-//! [`Deployment::boot_tcp`] each produce a fresh [`Booted`] network whose
-//! transport implements [`Substrate`]. An experiment written against
+//! [`Deployment::boot_sim`] and [`Deployment::boot_live`] (over either
+//! live transport) each produce a fresh [`Booted`] network that
+//! implements [`Substrate`]. An experiment written against
 //! `Substrate` (inject, kill, restart, block, [`FaultPlan`] replay,
 //! advance) therefore runs unmodified on all three runtimes, which is what
 //! makes per-substrate availability/MTTR numbers comparable.
@@ -37,10 +37,9 @@ use whisper_obs::{
 };
 use whisper_ontology::Ontology;
 use whisper_p2p::{DiscoveryService, DiscoveryStrategy, GroupId, P2pMessage, PeerId, SemanticAdv};
-use whisper_simnet::tcpnet::{TcpNet, TcpNetBuilder};
-use whisper_simnet::threadnet::{ThreadNet, ThreadNetBuilder};
 use whisper_simnet::{
-    Actor, Context, Metrics, NodeId, SimDuration, SimNet, Spawner, SwitchedLan, Wire,
+    Actor, Context, LiveNet, LiveNetBuilder, Metrics, NodeId, SimDuration, SimNet, Spawner,
+    SwitchedLan, Transport, Wire,
 };
 use whisper_wsdl::ServiceDescription;
 
@@ -247,9 +246,9 @@ impl ScenarioWiring {
     }
 
     /// Places the scenario onto `spawner` and returns where everything
-    /// landed. Works identically on [`SimNet`], [`ThreadNetBuilder`] and
-    /// [`TcpNetBuilder`] — node ids are assigned in registration order on
-    /// every substrate.
+    /// landed. Works identically on [`SimNet`] and on [`LiveNetBuilder`]
+    /// over either transport — node ids are assigned in registration order
+    /// on every substrate.
     ///
     /// # Errors
     ///
@@ -588,6 +587,7 @@ impl GroupBlueprint {
 ///
 /// ```
 /// use whisper::deploy::Deployment;
+/// use whisper_simnet::threadnet::ChannelTransport;
 /// use whisper_simnet::{SimDuration, Substrate};
 ///
 /// let dep = Deployment::student(3);
@@ -596,7 +596,7 @@ impl GroupBlueprint {
 /// sim.net.advance(SimDuration::from_secs(2));
 /// assert!(sim.net.metrics_snapshot().sent > 0);
 ///
-/// let mut live = dep.boot_threadnet().expect("well-formed");
+/// let mut live = dep.boot_live::<ChannelTransport>().expect("well-formed");
 /// live.net.advance(SimDuration::from_millis(50));
 /// assert!(live.net.metrics_snapshot().sent > 0);
 /// live.net.shutdown();
@@ -722,34 +722,23 @@ impl Deployment {
         })
     }
 
-    /// Boots on OS threads and crossbeam channels (wall-clock time).
-    ///
-    /// # Errors
-    ///
-    /// See [`ScenarioWiring::wire`].
-    pub fn boot_threadnet(&self) -> Result<Booted<ThreadNet<WhisperMsg>>, WhisperError> {
-        let (wiring, ledger) = self.wiring()?;
-        let mut builder = ThreadNetBuilder::new();
-        let topology = wiring.wire(&mut builder)?;
-        let flight = topology.flight.clone();
-        Ok(Booted {
-            net: builder.start(),
-            topology,
-            ledger,
-            flight,
-        })
-    }
-
-    /// Boots on real TCP loopback sockets (wall-clock time, every message
+    /// Boots on the live runtime over transport `T`, in wall-clock time:
+    /// [`ChannelTransport`] for OS threads and channels,
+    /// [`TcpTransport`] for real TCP loopback sockets (every message
     /// encoded to bytes and framed).
+    ///
+    /// [`ChannelTransport`]: whisper_simnet::threadnet::ChannelTransport
+    /// [`TcpTransport`]: whisper_simnet::tcpnet::TcpTransport
     ///
     /// # Errors
     ///
     /// See [`ScenarioWiring::wire`]; additionally [`WhisperError::Io`] for
-    /// socket errors while opening the loopback mesh.
-    pub fn boot_tcp(&self) -> Result<Booted<TcpNet<WhisperMsg>>, WhisperError> {
+    /// errors while opening the transport (the TCP loopback mesh).
+    pub fn boot_live<T: Transport<WhisperMsg>>(
+        &self,
+    ) -> Result<Booted<LiveNet<WhisperMsg, T>>, WhisperError> {
         let (wiring, ledger) = self.wiring()?;
-        let mut builder = TcpNetBuilder::new();
+        let mut builder = LiveNetBuilder::new();
         let topology = wiring.wire(&mut builder)?;
         let flight = topology.flight.clone();
         Ok(Booted {
@@ -764,6 +753,7 @@ impl Deployment {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use whisper_simnet::threadnet::ChannelTransport;
     use whisper_simnet::Substrate;
 
     /// The same deployment wires to the same topology on every substrate.
@@ -771,7 +761,9 @@ mod tests {
     fn layout_is_identical_across_substrates() {
         let dep = Deployment::student(3);
         let sim = dep.boot_sim(1).expect("sim boots");
-        let live = dep.boot_threadnet().expect("threadnet boots");
+        let live = dep
+            .boot_live::<ChannelTransport>()
+            .expect("threadnet boots");
         assert_eq!(sim.topology.node_count, live.topology.node_count);
         assert_eq!(sim.topology.proxy, live.topology.proxy);
         assert_eq!(sim.topology.all_bpeers(), live.topology.all_bpeers());

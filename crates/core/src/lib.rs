@@ -83,4 +83,4 @@ pub use harness::{ClientConfigTemplate, DeploymentConfig, GroupSpec, WhisperNet}
 pub use msg::WhisperMsg;
 pub use proxy::{ProxyConfig, ProxyStats, SwsProxyActor};
 pub use pulse::{PulseCollectorActor, PulseConfig, SharedPulseStore};
-pub use qos::{PeerHealth, QosMonitor, SelectionPolicy};
+pub use qos::{EwmaTable, PeerHealth, QosMonitor, SelectionPolicy};

@@ -117,8 +117,9 @@ pub enum WhisperMsg {
     /// Worker pool → its own b-peer actor loop: an offloaded backend
     /// execution finished. Always self-addressed (the worker injects it
     /// back into the loop that parked the request), so it never crosses a
-    /// peer boundary — but it still encodes, because on the TCP substrate
-    /// even self-sends are loopback frames.
+    /// peer boundary: every live transport, TCP included, delivers
+    /// self-sends through the node's in-process mailbox. It still has a
+    /// wire encoding because `WhisperMsg`'s codec covers every variant.
     JobDone {
         /// The b-peer-local job key the actor parked the request under
         /// (request ids alone are proxy-scoped, not unique at a delegate).

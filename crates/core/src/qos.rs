@@ -7,6 +7,7 @@
 //! itself loses traffic to an honestly better one.
 
 use std::collections::HashMap;
+use std::hash::Hash;
 use whisper_p2p::{GroupId, PeerId};
 use whisper_simnet::SimDuration;
 
@@ -31,15 +32,85 @@ pub enum SelectionPolicy {
     FirstFound,
 }
 
-/// Per-group measurements accumulated by the proxy.
+/// EWMA smoothing factor for latency.
+const ALPHA: f64 = 0.3;
+
+/// One key's measurements.
 #[derive(Debug, Clone, Copy, Default)]
-struct GroupObservation {
+struct Observation {
     /// Exponentially weighted moving average of response latency (µs).
     ewma_latency_us: f64,
     /// Total responses observed.
     responses: u64,
     /// Responses that were faults.
     faults: u64,
+}
+
+/// Response-latency EWMA (α = 0.3) and fault tally per key, trusted once
+/// a key has `min_samples` responses. The proxy keeps one per b-peer
+/// group ([`QosMonitor`]) and one per peer ([`PeerHealth`]).
+#[derive(Debug, Clone)]
+pub struct EwmaTable<K> {
+    observations: HashMap<K, Observation>,
+    /// Samples required before a key's measurements are trusted.
+    min_samples: u64,
+}
+
+impl<K: Copy + Eq + Hash> EwmaTable<K> {
+    /// Creates a table that trusts a key's measurements after
+    /// `min_samples` responses.
+    pub fn new(min_samples: u64) -> Self {
+        EwmaTable {
+            observations: HashMap::new(),
+            min_samples,
+        }
+    }
+
+    fn record(&mut self, key: K, latency: SimDuration, fault: bool) {
+        let o = self.observations.entry(key).or_default();
+        let l = latency.as_micros() as f64;
+        o.ewma_latency_us = if o.responses == 0 {
+            l
+        } else {
+            ALPHA * l + (1.0 - ALPHA) * o.ewma_latency_us
+        };
+        o.responses += 1;
+        if fault {
+            o.faults += 1;
+        }
+    }
+
+    /// The key's measurements, once at least `min_samples` arrived.
+    fn trusted(&self, key: K) -> Option<&Observation> {
+        self.observations
+            .get(&key)
+            .filter(|o| o.responses >= self.min_samples)
+    }
+
+    /// Number of responses observed from `key` since the last reset.
+    pub fn sample_count(&self, key: K) -> u64 {
+        self.observations
+            .get(&key)
+            .map(|o| o.responses)
+            .unwrap_or(0)
+    }
+
+    /// Observed fraction of non-fault responses, once any sample exists.
+    pub fn observed_reliability(&self, key: K) -> Option<f64> {
+        let o = self.observations.get(&key)?;
+        Some(1.0 - o.faults as f64 / o.responses as f64)
+    }
+
+    /// Smoothed response latency of `key`, once any sample exists.
+    pub fn ewma_latency(&self, key: K) -> Option<SimDuration> {
+        let o = self.observations.get(&key)?;
+        Some(SimDuration::from_micros(o.ewma_latency_us as u64))
+    }
+
+    /// Forgets `key`'s history, so that trust needs fresh evidence.
+    pub fn reset(&mut self, key: K) {
+        self.observations.remove(&key);
+    }
 }
 
 /// Observed-QoS bookkeeping for the groups a proxy has used.
@@ -59,57 +130,13 @@ struct GroupObservation {
 /// }
 /// assert!(m.observed_utility(g).is_some());
 /// ```
-#[derive(Debug, Clone)]
-pub struct QosMonitor {
-    observations: HashMap<GroupId, GroupObservation>,
-    /// Samples required before observations outrank advertisements.
-    min_samples: u64,
-    /// EWMA smoothing factor for latency.
-    alpha: f64,
-}
+pub type QosMonitor = EwmaTable<GroupId>;
 
-impl QosMonitor {
-    /// Creates a monitor that trusts its measurements after `min_samples`
-    /// responses per group.
-    pub fn new(min_samples: u64) -> Self {
-        QosMonitor {
-            observations: HashMap::new(),
-            min_samples,
-            alpha: 0.3,
-        }
-    }
-
+impl EwmaTable<GroupId> {
     /// Records one response from `group`: its latency and whether it was a
     /// fault.
     pub fn record_response(&mut self, group: GroupId, latency: SimDuration, fault: bool) {
-        let o = self.observations.entry(group).or_default();
-        let l = latency.as_micros() as f64;
-        o.ewma_latency_us = if o.responses == 0 {
-            l
-        } else {
-            self.alpha * l + (1.0 - self.alpha) * o.ewma_latency_us
-        };
-        o.responses += 1;
-        if fault {
-            o.faults += 1;
-        }
-    }
-
-    /// Number of responses observed from `group`.
-    pub fn sample_count(&self, group: GroupId) -> u64 {
-        self.observations
-            .get(&group)
-            .map(|o| o.responses)
-            .unwrap_or(0)
-    }
-
-    /// Observed fraction of non-fault responses, once any sample exists.
-    pub fn observed_reliability(&self, group: GroupId) -> Option<f64> {
-        let o = self.observations.get(&group)?;
-        if o.responses == 0 {
-            return None;
-        }
-        Some(1.0 - o.faults as f64 / o.responses as f64)
+        self.record(group, latency, fault);
     }
 
     /// A utility comparable to
@@ -117,28 +144,18 @@ impl QosMonitor {
     /// term, which is not observable), computed from measurements; `None`
     /// until `min_samples` responses arrived.
     pub fn observed_utility(&self, group: GroupId) -> Option<f64> {
-        let o = self.observations.get(&group)?;
-        if o.responses < self.min_samples {
-            return None;
-        }
+        let o = self.trusted(group)?;
         let reliability = 1.0 - o.faults as f64 / o.responses as f64;
         let speed = 5.0 / (1.0 + o.ewma_latency_us / 1_000.0);
         Some(reliability * 10.0 + speed)
     }
 }
 
-impl Default for QosMonitor {
+impl Default for EwmaTable<GroupId> {
     /// Trusts measurements after 5 samples.
     fn default() -> Self {
-        QosMonitor::new(5)
+        EwmaTable::new(5)
     }
-}
-
-/// Per-peer latency record backing [`PeerHealth`].
-#[derive(Debug, Clone, Copy, Default)]
-struct PeerObservation {
-    ewma_latency_us: f64,
-    responses: u64,
 }
 
 /// Per-*peer* response-latency EWMA — the fail-slow detector's evidence.
@@ -164,77 +181,30 @@ struct PeerObservation {
 /// assert!(h.is_fail_slow(p, SimDuration::from_millis(10)));
 /// assert!(!h.is_fail_slow(p, SimDuration::from_millis(100)));
 /// ```
-#[derive(Debug, Clone)]
-pub struct PeerHealth {
-    observations: HashMap<PeerId, PeerObservation>,
-    /// Samples required before a peer can be declared fail-slow.
-    min_samples: u64,
-    /// EWMA smoothing factor for latency.
-    alpha: f64,
-}
+pub type PeerHealth = EwmaTable<PeerId>;
 
-impl PeerHealth {
-    /// Creates a tracker that can flag a peer after `min_samples`
-    /// responses.
-    pub fn new(min_samples: u64) -> Self {
-        PeerHealth {
-            observations: HashMap::new(),
-            min_samples,
-            alpha: 0.3,
-        }
-    }
-
+impl EwmaTable<PeerId> {
     /// Records one response from `peer` with the observed latency.
     pub fn record_response(&mut self, peer: PeerId, latency: SimDuration) {
-        let o = self.observations.entry(peer).or_default();
-        let l = latency.as_micros() as f64;
-        o.ewma_latency_us = if o.responses == 0 {
-            l
-        } else {
-            self.alpha * l + (1.0 - self.alpha) * o.ewma_latency_us
-        };
-        o.responses += 1;
-    }
-
-    /// Number of responses observed from `peer` since the last reset.
-    pub fn sample_count(&self, peer: PeerId) -> u64 {
-        self.observations
-            .get(&peer)
-            .map(|o| o.responses)
-            .unwrap_or(0)
-    }
-
-    /// Smoothed response latency of `peer`, once any sample exists.
-    pub fn ewma_latency(&self, peer: PeerId) -> Option<SimDuration> {
-        let o = self.observations.get(&peer)?;
-        if o.responses == 0 {
-            return None;
-        }
-        Some(SimDuration::from_micros(o.ewma_latency_us as u64))
+        self.record(peer, latency, false);
     }
 
     /// Whether `peer` looks fail-slow: at least `min_samples` responses
     /// observed and a smoothed latency above `threshold`. A peer that
     /// stops answering entirely never trips this — that is the crash
-    /// detector's (timeout's) job, not the gray detector's.
-    pub fn is_fail_slow(&self, peer: PeerId, threshold: SimDuration) -> bool {
-        let Some(o) = self.observations.get(&peer) else {
-            return false;
-        };
-        o.responses >= self.min_samples && o.ewma_latency_us > threshold.as_micros() as f64
-    }
-
-    /// Forgets `peer`'s history — called when a demotion's cooldown
+    /// detector's (timeout's) job, not the gray detector's. Callers
+    /// [`reset`](EwmaTable::reset) a peer when its demotion's cooldown
     /// expires, so re-trip needs fresh evidence instead of the stale EWMA.
-    pub fn reset(&mut self, peer: PeerId) {
-        self.observations.remove(&peer);
+    pub fn is_fail_slow(&self, peer: PeerId, threshold: SimDuration) -> bool {
+        self.trusted(peer)
+            .is_some_and(|o| o.ewma_latency_us > threshold.as_micros() as f64)
     }
 }
 
-impl Default for PeerHealth {
+impl Default for EwmaTable<PeerId> {
     /// Flags a peer after 3 samples.
     fn default() -> Self {
-        PeerHealth::new(3)
+        EwmaTable::new(3)
     }
 }
 

@@ -10,11 +10,11 @@
 //! injects crash/restart/partition faults. Every run is reproducible from a
 //! seed, which makes message-count experiments (the paper's Figure 4) exact.
 //!
-//! The same actors can be run over OS threads and real channels with
-//! [`threadnet::ThreadNet`] to obtain wall-clock numbers for Criterion
-//! benches, or over real TCP loopback sockets with [`tcpnet::TcpNet`],
-//! where every inter-node message is encoded to bytes
-//! (`whisper-wire`), framed, and parsed back on the receiving side.
+//! The same actors run in wall-clock time on [`LiveNet`], one live runtime
+//! over two transports: channels ([`threadnet::ThreadNet`]) for
+//! Criterion benches, or real TCP loopback sockets ([`tcpnet::TcpNet`]),
+//! where every inter-node message is encoded to bytes (`whisper-wire`),
+//! framed, and parsed back on the receiving side.
 //!
 //! # Examples
 //!
@@ -62,6 +62,7 @@ mod engine;
 mod event;
 mod faults;
 mod link;
+mod live;
 mod metrics;
 mod substrate;
 pub mod tcpnet;
@@ -74,6 +75,7 @@ pub use engine::{
 };
 pub use faults::{DegradeSpec, FaultAction, FaultPlan};
 pub use link::{LinkModel, PerfectLink, SwitchedLan};
+pub use live::{LiveNet, LiveNetBuilder, Transport};
 pub use metrics::{Histogram, Metrics, MetricsSnapshot};
 pub use substrate::{Spawner, Substrate};
 pub use time::{SimDuration, SimTime};

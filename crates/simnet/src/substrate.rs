@@ -2,8 +2,9 @@
 //!
 //! A *substrate* is anything that can run a set of [`Actor`]s and have
 //! faults injected into it: the deterministic [`SimNet`] (virtual time,
-//! discrete events), the threaded [`ThreadNet`] (real time, crossbeam
-//! channels) and the socketed [`TcpNet`] (real time, loopback TCP). The
+//! discrete events) and the live [`LiveNet`] (real time) over either of
+//! its transports, [`ThreadNet`] (crossbeam channels) and [`TcpNet`]
+//! (loopback TCP). The
 //! [`Substrate`] trait exposes the operations an experiment harness needs
 //! — inject a message, kill/restart a node, block/unblock a link pair,
 //! replay a whole [`FaultPlan`], advance time, read metrics — so
@@ -11,7 +12,7 @@
 //! all three.
 //!
 //! Booting is symmetric: the [`Spawner`] trait is implemented by
-//! [`SimNet`] itself and by the two real-time builders, so scenario wiring
+//! [`SimNet`] itself and by the live builder, so scenario wiring
 //! code can place boxed actors on any substrate without knowing which one
 //! it is building (node ids are assigned in registration order
 //! everywhere).
@@ -26,24 +27,23 @@
 //!
 //! [`Actor`]: crate::Actor
 //! [`SimNet`]: crate::SimNet
+//! [`LiveNet`]: crate::LiveNet
 //! [`ThreadNet`]: crate::threadnet::ThreadNet
 //! [`TcpNet`]: crate::tcpnet::TcpNet
 
 use crate::engine::{DynActor, FlightHook, NetHook, NodeId, SimNet};
 use crate::faults::{FaultAction, FaultPlan};
+use crate::live::{LiveNet, LiveNetBuilder, Transport};
 use crate::metrics::MetricsSnapshot;
-use crate::tcpnet::{TcpNet, TcpNetBuilder};
-use crate::threadnet::{ThreadNet, ThreadNetBuilder};
 use crate::time::{SimDuration, SimTime};
 use crate::Wire;
 use crossbeam::channel::{unbounded, RecvTimeoutError, Sender};
 use std::any::Any;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
-use whisper_wire::{Decode, Encode};
 
 /// A place boxed actors can be registered before (or while) running —
-/// [`SimNet`] directly, or the builders of the two real-time substrates.
+/// [`SimNet`] directly, or the live runtime's builder.
 ///
 /// Scenario wiring code written against `Spawner` (see the deployment
 /// layer in `whisper-core`) boots identically on all three runtimes.
@@ -85,39 +85,25 @@ impl<M: Wire> Spawner<M> for SimNet<M> {
     }
 }
 
-impl<M: Wire> Spawner<M> for ThreadNetBuilder<M> {
+impl<M: Wire, T: Transport<M>> Spawner<M> for LiveNetBuilder<M, T> {
     fn add_boxed(&mut self, actor: Box<dyn DynActor<M>>) -> NodeId {
-        ThreadNetBuilder::add_boxed(self, actor)
+        LiveNetBuilder::add_boxed(self, actor)
     }
 
     fn set_net_hook(&mut self, hook: Box<dyn NetHook + Send>) {
-        ThreadNetBuilder::set_net_hook(self, hook);
+        LiveNetBuilder::set_net_hook(self, hook);
     }
 
     fn set_flight_hook(&mut self, node: NodeId, hook: Box<dyn FlightHook + Send>) {
-        ThreadNetBuilder::set_flight_hook(self, node, hook);
-    }
-}
-
-impl<M: Wire + Encode + Decode> Spawner<M> for TcpNetBuilder<M> {
-    fn add_boxed(&mut self, actor: Box<dyn DynActor<M>>) -> NodeId {
-        TcpNetBuilder::add_boxed(self, actor)
-    }
-
-    fn set_net_hook(&mut self, hook: Box<dyn NetHook + Send>) {
-        TcpNetBuilder::set_net_hook(self, hook);
-    }
-
-    fn set_flight_hook(&mut self, node: NodeId, hook: Box<dyn FlightHook + Send>) {
-        TcpNetBuilder::set_flight_hook(self, node, hook);
+        LiveNetBuilder::set_flight_hook(self, node, hook);
     }
 }
 
 /// A running network of actors that an experiment can drive and break.
 ///
-/// `SimNet` advances virtual time deterministically; `ThreadNet` and
-/// `TcpNet` run in wall-clock time, where [`Substrate::advance`] simply
-/// sleeps while the actor threads make progress on their own.
+/// `SimNet` advances virtual time deterministically; `LiveNet` runs in
+/// wall-clock time, where [`Substrate::advance`] simply sleeps while the
+/// actor threads make progress on their own.
 pub trait Substrate<M: Wire> {
     /// A short label for reports: `"sim"`, `"threadnet"`, `"tcp"`.
     fn name(&self) -> &'static str;
@@ -212,41 +198,41 @@ impl<M: Wire> Substrate<M> for SimNet<M> {
     }
 }
 
-impl<M: Wire> Substrate<M> for ThreadNet<M> {
+impl<M: Wire, T: Transport<M>> Substrate<M> for LiveNet<M, T> {
     fn name(&self) -> &'static str {
-        "threadnet"
+        T::NAME
     }
 
     fn node_count(&self) -> usize {
-        ThreadNet::node_count(self)
+        LiveNet::node_count(self)
     }
 
     fn inject(&mut self, from: NodeId, to: NodeId, msg: M) {
-        ThreadNet::inject(self, from, to, msg);
+        LiveNet::inject(self, from, to, msg);
     }
 
     fn kill_node(&mut self, node: NodeId) {
-        ThreadNet::kill_node(self, node);
+        LiveNet::kill_node(self, node);
     }
 
     fn restart_node(&mut self, node: NodeId) {
-        ThreadNet::restart_node(self, node);
+        LiveNet::restart_node(self, node);
     }
 
     fn block_link(&mut self, a: NodeId, b: NodeId) {
-        ThreadNet::block_link(self, a, b);
+        LiveNet::block_link(self, a, b);
     }
 
     fn unblock_link(&mut self, a: NodeId, b: NodeId) {
-        ThreadNet::unblock_link(self, a, b);
+        LiveNet::unblock_link(self, a, b);
     }
 
     fn apply_action(&mut self, action: FaultAction) {
-        ThreadNet::apply_action(self, action);
+        LiveNet::apply_action(self, action);
     }
 
     fn execute_plan(&mut self, plan: &FaultPlan) {
-        ThreadNet::execute_plan(self, plan);
+        LiveNet::execute_plan(self, plan);
     }
 
     fn advance(&mut self, d: SimDuration) {
@@ -254,67 +240,16 @@ impl<M: Wire> Substrate<M> for ThreadNet<M> {
     }
 
     fn now(&self) -> SimTime {
-        ThreadNet::now(self)
+        LiveNet::now(self)
     }
 
     fn metrics_snapshot(&self) -> MetricsSnapshot {
-        ThreadNet::metrics_snapshot(self)
-    }
-}
-
-impl<M: Wire> Substrate<M> for TcpNet<M> {
-    fn name(&self) -> &'static str {
-        "tcp"
-    }
-
-    fn node_count(&self) -> usize {
-        TcpNet::node_count(self)
-    }
-
-    fn inject(&mut self, from: NodeId, to: NodeId, msg: M) {
-        TcpNet::inject(self, from, to, msg);
-    }
-
-    fn kill_node(&mut self, node: NodeId) {
-        TcpNet::kill_node(self, node);
-    }
-
-    fn restart_node(&mut self, node: NodeId) {
-        TcpNet::restart_node(self, node);
-    }
-
-    fn block_link(&mut self, a: NodeId, b: NodeId) {
-        TcpNet::block_link(self, a, b);
-    }
-
-    fn unblock_link(&mut self, a: NodeId, b: NodeId) {
-        TcpNet::unblock_link(self, a, b);
-    }
-
-    fn apply_action(&mut self, action: FaultAction) {
-        TcpNet::apply_action(self, action);
-    }
-
-    fn execute_plan(&mut self, plan: &FaultPlan) {
-        TcpNet::execute_plan(self, plan);
-    }
-
-    fn advance(&mut self, d: SimDuration) {
-        std::thread::sleep(Duration::from_micros(d.as_micros()));
-    }
-
-    fn now(&self) -> SimTime {
-        TcpNet::now(self)
-    }
-
-    fn metrics_snapshot(&self) -> MetricsSnapshot {
-        TcpNet::metrics_snapshot(self)
+        LiveNet::metrics_snapshot(self)
     }
 }
 
 /// A background thread replaying a [`FaultPlan`] against a live substrate
-/// in wall-clock time. Created by the real-time substrates'
-/// `execute_plan`; stopped and joined on shutdown so no action fires into
+/// in wall-clock time. Created by [`LiveNet::execute_plan`]; stopped and joined on shutdown so no action fires into
 /// a half-torn-down network.
 pub(crate) struct FaultDriver {
     stop: Sender<()>,

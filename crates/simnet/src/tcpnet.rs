@@ -1,54 +1,41 @@
-//! Real TCP loopback transport for the same [`Actor`] objects.
+//! The live runtime over real TCP loopback sockets.
 //!
-//! [`TcpNet`] runs each actor on its own thread exactly like
-//! [`ThreadNet`](crate::threadnet::ThreadNet) — same node loop, same
-//! timers — but every inter-node message crosses a real TCP socket on
-//! `127.0.0.1`: the sender encodes to bytes with
-//! [`whisper_wire::Encode`], writes a length-prefixed frame, and a
-//! per-link reader thread decodes the frame back into a message for the
-//! destination actor. Kernel socket buffers, syscalls, and the codec are
-//! all on the hot path, which is what makes the measured RTT comparable to
-//! the paper's LAN numbers rather than a channel-hop artifact.
+//! [`TcpNet`] is a [`LiveNet`] whose [`TcpTransport`] carries every
+//! inter-node message over a real socket on `127.0.0.1`: the sender
+//! encodes to bytes with [`whisper_wire::Encode`], writes a
+//! length-prefixed frame, and a per-link reader thread decodes the frame
+//! back into a message for the destination actor. Kernel socket buffers,
+//! syscalls, and the codec are all on the hot path, which is what makes
+//! the measured RTT comparable to the paper's LAN numbers rather than a
+//! channel-hop artifact.
 //!
 //! Topology is a full mesh: one TCP connection per ordered node pair,
-//! established up front in [`TcpNetBuilder::start`]. Self-sends and control
-//! messages (injection, shutdown) use the node's in-process channel — they
-//! are a driver convenience, not part of the measured message plane.
+//! established up front in [`LiveNetBuilder::start`]. Self-sends and
+//! driver injections use the node's in-process mailbox — there is no
+//! socket to oneself.
 //!
 //! Faults are real here: killing a node shuts down **both halves** of
 //! every socket touching it, so a peer writer blocked on the dead node's
-//! full receive buffer gets an I/O error instead of hanging, and
-//! [`TcpNet::restart_node`] re-dials fresh socket pairs to every live
-//! peer before the node's `on_restart` hook runs. Link-pair blocks are
-//! gated sender-side before the socket write, with the same partition
-//! accounting as the simulator's engine. A whole
-//! [`FaultPlan`] can be replayed in wall-clock time via
-//! [`TcpNet::execute_plan`].
+//! full receive buffer gets an I/O error instead of hanging, and a
+//! restart re-dials fresh socket pairs to every live peer before the
+//! node's `on_restart` hook runs.
 //!
-//! Decoding is hardened end to end: a frame that is oversized, truncated,
-//! or fails to parse terminates that link's current socket (the TCP
-//! analogue of a broken peer) without panicking the node.
+//! Decoding is hardened end to end: a frame that fails to parse is a
+//! counted, flight-recorded decode error, and the length prefix carries
+//! the stream past it, so the link keeps working. An oversized or
+//! truncated frame ends the link's current socket — the TCP analogue of a
+//! broken peer — without panicking the node.
 
-use crate::chaos::{ChaosDecision, ChaosState, DelayPump};
-use crate::engine::FlightHook;
-use crate::engine::{Actor, NetHook, NodeId, TraceOutcome};
-use crate::metrics::{Metrics, MetricsSnapshot};
-use crate::substrate::FaultDriver;
-use crate::threadnet::{
-    BoxHolder, Ctl, FaultState, FlightTable, Holder, Outbound, Shared, SharedHook, Spawnable,
-};
-use crate::time::SimTime;
-use crate::{DynActor, FaultAction, FaultPlan, Wire};
-use crossbeam::channel::{unbounded, Sender};
+use crate::engine::TraceOutcome;
+use crate::live::{Core, LiveNet, LiveNetBuilder, Transport};
+use crate::{NodeId, Wire};
+use crossbeam::channel::{unbounded, Receiver, Sender};
 use parking_lot::{Mutex, MutexGuard};
-use std::any::Any;
 use std::collections::VecDeque;
 use std::io;
 use std::net::{Shutdown, TcpListener, TcpStream};
-use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::thread::JoinHandle;
-use std::time::{Duration, Instant};
 use whisper_wire::{
     decode_clocked, read_frame_into, write_frame_vectored, write_frames_vectored, Decode, Encode,
 };
@@ -70,8 +57,7 @@ const LINK_QUEUE_CAP: usize = 64;
 /// One ordered link's live socket state: the writer half used by the
 /// sender, and a clone of the current reader socket kept so a kill can
 /// shut the connection down from outside the reader thread. `None` means
-/// the link is down (endpoint killed, or decode error) until a restart
-/// re-dials it.
+/// the link is down (endpoint killed) until a restart re-dials it.
 ///
 /// `queue` holds fully-encoded frames (trailing Lamport varint included)
 /// from senders that found the writer busy; the current lock holder
@@ -84,8 +70,7 @@ struct LinkSlot {
 }
 
 /// The full mesh of ordered links, indexed `from * n + to` (diagonal
-/// unused), shared between the outbound path, the running network handle
-/// and any fault drivers.
+/// unused).
 struct LinkTable {
     n: usize,
     slots: Vec<LinkSlot>,
@@ -107,358 +92,6 @@ impl LinkTable {
     }
 }
 
-/// TCP-backed transport: encode, frame, write to the link's socket.
-struct TcpOutbound<M> {
-    links: Arc<LinkTable>,
-    /// In-process channels for self-sends (no socket to ourselves).
-    loopback: Vec<Sender<Ctl<M>>>,
-    metrics: Arc<Mutex<Metrics>>,
-    faults: Arc<FaultState>,
-    hook: Option<SharedHook>,
-    flights: Arc<FlightTable>,
-    /// Wall-clock origin shared with the node loops, so hook timestamps
-    /// line up with actor-visible [`SimTime`]s.
-    epoch: Instant,
-    chaos: Arc<ChaosState>,
-    pump: Arc<DelayPump>,
-    pump_seq: Arc<AtomicU64>,
-}
-
-impl<M> TcpOutbound<M> {
-    fn now_ts(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    fn notify_hook(&self, from: NodeId, to: NodeId, kind: &'static str, bytes: usize) {
-        if let Some(hook) = &self.hook {
-            let now = SimTime::from_micros(self.epoch.elapsed().as_micros() as u64);
-            hook.lock().on_send(now, from, to, kind, bytes);
-        }
-    }
-
-    fn notify_drop(&self, from: NodeId, to: NodeId, kind: &'static str, reason: TraceOutcome) {
-        if let Some(hook) = &self.hook {
-            let now = SimTime::from_micros(self.epoch.elapsed().as_micros() as u64);
-            hook.lock().on_drop(now, from, to, kind, reason);
-        }
-    }
-
-    /// Flushes frames that peers queued on `slot` while `guard` was held,
-    /// then releases the writer. The release re-check loop is the flat-
-    /// combining liveness protocol: a peer that enqueues just as the
-    /// holder's last drain saw an empty queue will either observe the
-    /// writer free (and take over the flush itself) or be covered by the
-    /// holder re-acquiring here — no frame is stranded either way.
-    fn drain_after<'a>(&self, slot: &'a LinkSlot, mut guard: MutexGuard<'a, Option<Link>>) {
-        loop {
-            loop {
-                let batch: Vec<Vec<u8>> = {
-                    let mut q = slot.queue.lock();
-                    if q.is_empty() {
-                        break;
-                    }
-                    q.drain(..).collect()
-                };
-                // A down link discards the batch: the frames were already
-                // accounted at enqueue time, matching a direct write that
-                // fails mid-flight.
-                if let Some(Link { stream, .. }) = guard.as_mut() {
-                    let refs: Vec<&[u8]> = batch.iter().map(|f| f.as_slice()).collect();
-                    let _ = write_frames_vectored(stream, &refs);
-                    self.metrics.lock().on_batch_flush(batch.len());
-                }
-            }
-            drop(guard);
-            if slot.queue.lock().is_empty() {
-                return;
-            }
-            match slot.writer.try_lock() {
-                Some(g) => guard = g,
-                None => return, // the new holder drains behind itself
-            }
-        }
-    }
-}
-
-impl<M: Wire + Encode> TcpOutbound<M> {
-    /// Encodes `msg` into an owned frame with full send accounting
-    /// (metrics, net hook, flight stamp with trailing clock varint) — the
-    /// chaos paths use this because the frame outlives the send call.
-    fn encode_accounted(&self, from: NodeId, to: NodeId, msg: &M) -> Vec<u8> {
-        let mut frame = Vec::with_capacity(msg.wire_size() + 8);
-        msg.encode_into(&mut frame);
-        let body = frame.len();
-        self.metrics.lock().on_send(msg.kind(), body);
-        self.notify_hook(from, to, msg.kind(), body);
-        if self.flights.armed(from) {
-            let clock =
-                self.flights
-                    .on_send(from, self.now_ts(), to, msg.kind(), body, msg.correlation());
-            clock.encode_into(&mut frame);
-        }
-        frame
-    }
-}
-
-impl<M: Wire + Encode> Outbound<M> for TcpOutbound<M> {
-    fn send(&self, from: NodeId, to: NodeId, msg: M) {
-        if from == to {
-            let size = msg.wire_size();
-            self.metrics.lock().on_send(msg.kind(), size);
-            self.notify_hook(from, to, msg.kind(), size);
-            let clock = if self.flights.armed(from) {
-                self.flights
-                    .on_send(from, self.now_ts(), to, msg.kind(), size, msg.correlation())
-            } else {
-                0
-            };
-            if let Some(tx) = self.loopback.get(to.index()) {
-                if tx.send(Ctl::Msg(from, msg, clock)).is_ok() {
-                    self.metrics.lock().on_deliver();
-                }
-            }
-            return;
-        }
-        // Fault gates first, mirroring the engine's send-time drops: a
-        // blocked pair partitions the message, a down destination swallows
-        // it — in both cases before any socket work.
-        if self.faults.is_blocked(from, to) {
-            let size = msg.wire_size();
-            let kind = msg.kind();
-            {
-                let mut m = self.metrics.lock();
-                m.on_send(kind, size);
-                m.on_drop_partition();
-            }
-            self.notify_hook(from, to, kind, size);
-            if self.flights.armed(from) {
-                self.flights
-                    .on_send(from, self.now_ts(), to, kind, size, msg.correlation());
-            }
-            self.notify_drop(from, to, kind, TraceOutcome::Partitioned);
-            return;
-        }
-        if !self.faults.is_up(to) {
-            let size = msg.wire_size();
-            let kind = msg.kind();
-            {
-                let mut m = self.metrics.lock();
-                m.on_send(kind, size);
-                m.on_drop_down();
-            }
-            self.notify_hook(from, to, kind, size);
-            if self.flights.armed(from) {
-                self.flights
-                    .on_send(from, self.now_ts(), to, kind, size, msg.correlation());
-            }
-            self.notify_drop(from, to, kind, TraceOutcome::DestinationDown);
-            return;
-        }
-        // Gray degradation interposes here — after the fault gates, before
-        // any socket work — as a frame-level mangler: chaos loss never
-        // reaches the wire, corruption flips bits in the encoded frame so
-        // the receiver hits a *real* decode error, and delay/duplication
-        // park the finished frame on the pump thread. The healthy path
-        // costs one atomic load inside `decide`.
-        match self.chaos.decide(from.0, to.0) {
-            ChaosDecision::Clean => {}
-            ChaosDecision::Drop => {
-                let size = msg.wire_size();
-                let kind = msg.kind();
-                {
-                    let mut m = self.metrics.lock();
-                    m.on_send(kind, size);
-                    m.on_lost();
-                }
-                self.notify_hook(from, to, kind, size);
-                if self.flights.armed(from) {
-                    self.flights
-                        .on_send(from, self.now_ts(), to, kind, size, msg.correlation());
-                }
-                self.notify_drop(from, to, kind, TraceOutcome::Lost);
-                return;
-            }
-            ChaosDecision::Corrupt => {
-                let mut frame = self.encode_accounted(from, to, &msg);
-                // Damage both ends of the payload: the first byte carries
-                // the message tag, so the decode on the far side fails
-                // rather than resynthesizing a different valid message.
-                if let Some(first) = frame.first_mut() {
-                    *first ^= 0xFF;
-                }
-                if frame.len() > 1 {
-                    // Only on multi-byte frames: on a 1-byte payload this
-                    // would re-flip the same byte back to valid.
-                    let last = frame.len() - 1;
-                    frame[last] ^= 0xFF;
-                }
-                let slot = self.links.slot(from.index(), to.index());
-                let mut guard = slot.writer.lock();
-                if let Some(Link { stream, .. }) = guard.as_mut() {
-                    let _ = write_frame_vectored(stream, &frame);
-                }
-                self.drain_after(slot, guard);
-                return;
-            }
-            ChaosDecision::Deliver { delay, duplicate } => {
-                let frame = self.encode_accounted(from, to, &msg);
-                let copies = if duplicate { 2 } else { 1 };
-                for i in 0..copies {
-                    let links = Arc::clone(&self.links);
-                    let f = frame.clone();
-                    let (fi, ti) = (from.index(), to.index());
-                    let seq = self.pump_seq.fetch_add(1, Ordering::Relaxed);
-                    self.pump.after(
-                        delay + Duration::from_micros(200 * i as u64),
-                        seq,
-                        Box::new(move || {
-                            let slot = links.slot(fi, ti);
-                            let mut guard = slot.writer.lock();
-                            if let Some(Link { stream, .. }) = guard.as_mut() {
-                                let _ = write_frame_vectored(stream, &f);
-                            }
-                        }),
-                    );
-                }
-                return;
-            }
-        }
-        let slot = self.links.slot(from.index(), to.index());
-        match slot.writer.try_lock() {
-            Some(mut guard) => {
-                match guard.as_mut() {
-                    Some(Link { stream, scratch }) => {
-                        scratch.clear();
-                        msg.encode_into(scratch);
-                        // Metrics take the message length *before* the trailing
-                        // Lamport varint, so byte accounting equals `wire_size()`
-                        // on every substrate; the clock rides as framing overhead
-                        // like the length prefix does.
-                        self.metrics.lock().on_send(msg.kind(), scratch.len());
-                        self.notify_hook(from, to, msg.kind(), scratch.len());
-                        // Unhooked senders emit the pre-clock frame layout — no
-                        // trailing varint, no wall-clock read — so a cluster with
-                        // no recorders pays one slot load per send. Receivers take
-                        // the zero-clock compat path, which is exact: a sender
-                        // with no ring has no events to order against.
-                        if self.flights.armed(from) {
-                            let clock = self.flights.on_send(
-                                from,
-                                self.now_ts(),
-                                to,
-                                msg.kind(),
-                                scratch.len(),
-                                msg.correlation(),
-                            );
-                            clock.encode_into(scratch);
-                        }
-                        // Frames parked while the writer was last busy go out
-                        // *ahead* of ours in one vectored write, preserving
-                        // link FIFO; an idle link (empty queue) takes exactly
-                        // the pre-batching single-frame path. A write error
-                        // means the peer's link is gone (e.g. during
-                        // shutdown); the frames are simply lost, like on a
-                        // real LAN.
-                        let queued: Vec<Vec<u8>> = {
-                            let mut q = slot.queue.lock();
-                            if q.is_empty() {
-                                Vec::new()
-                            } else {
-                                q.drain(..).collect()
-                            }
-                        };
-                        if queued.is_empty() {
-                            let _ = write_frame_vectored(stream, scratch);
-                        } else {
-                            let refs: Vec<&[u8]> = queued
-                                .iter()
-                                .map(|f| f.as_slice())
-                                .chain(std::iter::once(scratch.as_slice()))
-                                .collect();
-                            let _ = write_frames_vectored(stream, &refs);
-                            self.metrics.lock().on_batch_flush(queued.len());
-                        }
-                    }
-                    None => {
-                        // No live link (torn down, not yet re-dialed): the message
-                        // is lost but still accounted, matching the loopback
-                        // behavior above.
-                        let size = msg.wire_size();
-                        self.metrics.lock().on_send(msg.kind(), size);
-                        self.notify_hook(from, to, msg.kind(), size);
-                        if self.flights.armed(from) {
-                            self.flights.on_send(
-                                from,
-                                self.now_ts(),
-                                to,
-                                msg.kind(),
-                                size,
-                                msg.correlation(),
-                            );
-                        }
-                    }
-                }
-                self.drain_after(slot, guard);
-            }
-            None => {
-                // Another thread is mid-write on this link: encode to an
-                // owned frame and park it for the lock holder to flush in
-                // one vectored write. The send is accounted here, at
-                // enqueue time, exactly as a direct write would be.
-                let mut frame = Vec::with_capacity(msg.wire_size() + 8);
-                msg.encode_into(&mut frame);
-                let body = frame.len();
-                self.metrics.lock().on_send(msg.kind(), body);
-                self.notify_hook(from, to, msg.kind(), body);
-                if self.flights.armed(from) {
-                    let clock = self.flights.on_send(
-                        from,
-                        self.now_ts(),
-                        to,
-                        msg.kind(),
-                        body,
-                        msg.correlation(),
-                    );
-                    clock.encode_into(&mut frame);
-                }
-                let parked = {
-                    let mut q = slot.queue.lock();
-                    if q.len() < LINK_QUEUE_CAP {
-                        q.push_back(std::mem::take(&mut frame));
-                        true
-                    } else {
-                        false
-                    }
-                };
-                if parked {
-                    // The holder may have finished its drain between our
-                    // failed try_lock and the push; re-check so the frame
-                    // is never stranded on an idle link.
-                    if let Some(guard) = slot.writer.try_lock() {
-                        self.drain_after(slot, guard);
-                    }
-                } else if msg.is_telemetry() {
-                    // Queue full: telemetry never head-of-line blocks
-                    // protocol traffic, so the frame is shed — counted as
-                    // sent then lost, the same accounting as the engine's
-                    // loss model. Pulse deltas are cumulative per emitter,
-                    // so a shed frame costs resolution, not correctness.
-                    self.metrics.lock().on_lost();
-                    self.notify_drop(from, to, msg.kind(), TraceOutcome::Lost);
-                } else {
-                    // Protocol traffic must not be lost to contention:
-                    // wait for the writer (backpressure), then flush the
-                    // backlog and this frame in link order.
-                    self.metrics.lock().on_backpressure_wait();
-                    let guard = slot.writer.lock();
-                    slot.queue.lock().push_back(frame);
-                    self.drain_after(slot, guard);
-                }
-            }
-        }
-    }
-}
-
 /// Connects one TCP socket pair on loopback.
 ///
 /// Binding to port 0 and connecting to the assigned address completes
@@ -474,93 +107,294 @@ fn connect_pair() -> io::Result<(TcpStream, TcpStream)> {
     Ok((writer, reader))
 }
 
-/// Applies [`FaultAction`]s to the live socket mesh; shared by
-/// [`TcpNet`]'s direct fault methods and its real-time fault drivers.
-struct TcpFaultCtl<M> {
-    senders: Vec<Sender<Ctl<M>>>,
-    /// Per ordered link, the channel feeding replacement sockets to that
-    /// link's reader thread (`None` on the diagonal).
-    reader_ctrl: Vec<Option<Sender<TcpStream>>>,
-    links: Arc<LinkTable>,
-    faults: Arc<FaultState>,
-    flights: Arc<FlightTable>,
-    chaos: Arc<ChaosState>,
-    epoch: Instant,
+/// `msg` encoded into an owned frame, with the trailing clock varint when
+/// the sender is stamped.
+fn frame_of<M: Wire + Encode>(msg: &M, clock: Option<u64>) -> Vec<u8> {
+    let mut frame = Vec::with_capacity(msg.wire_size() + 8);
+    msg.encode_into(&mut frame);
+    if let Some(clock) = clock {
+        clock.encode_into(&mut frame);
+    }
+    frame
 }
 
-impl<M> TcpFaultCtl<M> {
-    fn now_ts(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    fn apply(&self, action: FaultAction) {
-        match action {
-            FaultAction::Crash(node) => self.kill(node),
-            FaultAction::Restart(node) => self.restart(node),
-            FaultAction::Block(a, b) => {
-                self.faults.set_blocked(a, b, true);
-                self.flights
-                    .on_fault(a, self.now_ts(), &format!("block {a} {b}"));
-                self.flights
-                    .on_fault(b, self.now_ts(), &format!("block {a} {b}"));
-            }
-            FaultAction::Unblock(a, b) => {
-                self.faults.set_blocked(a, b, false);
-                self.flights
-                    .on_fault(a, self.now_ts(), &format!("unblock {a} {b}"));
-                self.flights
-                    .on_fault(b, self.now_ts(), &format!("unblock {a} {b}"));
-            }
-            FaultAction::Degrade(a, b, _) => {
-                self.chaos.apply(action);
-                self.flights
-                    .on_fault(a, self.now_ts(), &format!("degrade {a} {b}"));
-                self.flights
-                    .on_fault(b, self.now_ts(), &format!("degrade {a} {b}"));
-            }
-            FaultAction::Restore(a, b) => {
-                self.chaos.apply(action);
-                self.flights
-                    .on_fault(a, self.now_ts(), &format!("restore {a} {b}"));
-                self.flights
-                    .on_fault(b, self.now_ts(), &format!("restore {a} {b}"));
-            }
-            FaultAction::Stall(node, _) => {
-                self.chaos.apply(action);
-                self.flights
-                    .on_fault(node, self.now_ts(), &format!("stall {node}"));
-            }
-            FaultAction::Slow(node, _) => {
-                self.chaos.apply(action);
-                self.flights
-                    .on_fault(node, self.now_ts(), &format!("slow {node}"));
+/// Decodes `from -> to` frames off each socket the link's control channel
+/// hands over, until the channel closes.
+fn read_link<M: Wire + Decode>(
+    core: &Core<M>,
+    from: NodeId,
+    to: NodeId,
+    ctrl: Receiver<TcpStream>,
+) {
+    // One payload buffer per link, reused across sockets.
+    let mut payload = Vec::new();
+    // Each socket is read to EOF/error, then the thread parks waiting for
+    // a replacement (node restart).
+    while let Ok(mut stream) = ctrl.recv() {
+        while let Ok(true) = read_frame_into(&mut stream, &mut payload) {
+            // A frame is the message encoding plus an optional trailing
+            // Lamport varint; frames without one decode with clock 0.
+            match decode_clocked::<M>(&payload) {
+                Ok((msg, clock)) => core.deliver(from, to, msg, clock),
+                Err(_) => core.decode_error(from, to),
             }
         }
+    }
+}
+
+/// The TCP transport: the socket mesh, its per-link reader threads, and
+/// the control channels that hand re-dialed sockets to those readers.
+pub struct TcpTransport {
+    links: LinkTable,
+    /// Per ordered link, the channel feeding replacement sockets to that
+    /// link's reader thread (`None` on the diagonal). Cleared at shutdown
+    /// so parked readers exit.
+    reader_ctrl: Mutex<Vec<Option<Sender<TcpStream>>>>,
+    /// The readers' ends of those channels, until `start` spawns them.
+    pending: Mutex<Vec<(usize, usize, Receiver<TcpStream>)>>,
+    readers: Mutex<Vec<JoinHandle<()>>>,
+}
+
+impl TcpTransport {
+    /// Connects a fresh socket pair for the ordered link `from -> to`: the
+    /// write half goes into the link's slot, the read half to the link's
+    /// reader thread.
+    fn dial(&self, from: usize, to: usize) -> io::Result<()> {
+        let (writer, reader) = connect_pair()?;
+        let slot = self.links.slot(from, to);
+        *slot.reader.lock() = Some(reader.try_clone()?);
+        *slot.writer.lock() = Some(Link {
+            stream: writer,
+            scratch: Vec::new(),
+        });
+        if let Some(Some(ctrl)) = self.reader_ctrl.lock().get(from * self.links.n + to) {
+            let _ = ctrl.send(reader);
+        }
+        Ok(())
+    }
+
+    /// Flushes frames that peers queued on `slot` while `guard` was held,
+    /// then releases the writer. The release re-check loop is the flat-
+    /// combining liveness protocol: a peer that enqueues just as the
+    /// holder's last drain saw an empty queue will either observe the
+    /// writer free (and take over the flush itself) or be covered by the
+    /// holder re-acquiring here — no frame is stranded either way.
+    fn drain_after<'a, M>(
+        &self,
+        core: &Core<M>,
+        slot: &'a LinkSlot,
+        mut guard: MutexGuard<'a, Option<Link>>,
+    ) {
+        loop {
+            loop {
+                let batch: Vec<Vec<u8>> = {
+                    let mut q = slot.queue.lock();
+                    if q.is_empty() {
+                        break;
+                    }
+                    q.drain(..).collect()
+                };
+                // A down link discards the batch: the frames were already
+                // accounted, matching a direct write that fails mid-flight.
+                if let Some(Link { stream, .. }) = guard.as_mut() {
+                    let refs: Vec<&[u8]> = batch.iter().map(|f| f.as_slice()).collect();
+                    let _ = write_frames_vectored(stream, &refs);
+                    core.metrics.lock().on_batch_flush(batch.len());
+                }
+            }
+            drop(guard);
+            if slot.queue.lock().is_empty() {
+                return;
+            }
+            match slot.writer.try_lock() {
+                Some(g) => guard = g,
+                None => return, // the new holder drains behind itself
+            }
+        }
+    }
+
+    /// The contended path: another thread is mid-write on this link, so
+    /// the frame is encoded to an owned buffer and parked for the lock
+    /// holder to flush in one vectored write.
+    fn park<M: Wire + Encode>(
+        &self,
+        core: &Core<M>,
+        slot: &LinkSlot,
+        from: NodeId,
+        to: NodeId,
+        msg: M,
+        clock: Option<u64>,
+    ) {
+        let frame = frame_of(&msg, clock);
+        let frame = {
+            let mut q = slot.queue.lock();
+            if q.len() < LINK_QUEUE_CAP {
+                q.push_back(frame);
+                None
+            } else {
+                Some(frame)
+            }
+        };
+        match frame {
+            // The holder may have finished its drain between our failed
+            // try_lock and the push; re-check so the frame is never
+            // stranded on an idle link.
+            None => {
+                if let Some(guard) = slot.writer.try_lock() {
+                    self.drain_after(core, slot, guard);
+                }
+            }
+            // Queue full: telemetry never head-of-line blocks protocol
+            // traffic, so the frame is shed — counted as sent then lost,
+            // the same accounting as the engine's loss model. Pulse deltas
+            // are cumulative per emitter, so a shed frame costs resolution,
+            // not correctness.
+            Some(_) if msg.is_telemetry() => {
+                core.metrics.lock().on_lost();
+                core.notify_drop(from, to, msg.kind(), TraceOutcome::Lost);
+            }
+            // Protocol traffic must not be lost to contention: wait for the
+            // writer (backpressure), then flush the backlog and this frame
+            // in link order.
+            Some(frame) => {
+                core.metrics.lock().on_backpressure_wait();
+                let guard = slot.writer.lock();
+                slot.queue.lock().push_back(frame);
+                self.drain_after(core, slot, guard);
+            }
+        }
+    }
+}
+
+impl<M: Wire + Encode + Decode> Transport<M> for TcpTransport {
+    const NAME: &'static str = "tcp";
+
+    /// Opens the full mesh of loopback sockets; the reader threads start
+    /// later, in `start`.
+    fn open(n: usize) -> io::Result<Self> {
+        let mut reader_ctrl = Vec::with_capacity(n * n);
+        let mut pending = Vec::new();
+        for from in 0..n {
+            for to in 0..n {
+                if from == to {
+                    reader_ctrl.push(None);
+                } else {
+                    let (tx, rx) = unbounded();
+                    reader_ctrl.push(Some(tx));
+                    pending.push((from, to, rx));
+                }
+            }
+        }
+        let transport = TcpTransport {
+            links: LinkTable::new(n),
+            reader_ctrl: Mutex::new(reader_ctrl),
+            pending: Mutex::new(Vec::new()),
+            readers: Mutex::new(Vec::new()),
+        };
+        for &(from, to, _) in &pending {
+            transport.dial(from, to)?;
+        }
+        *transport.pending.lock() = pending;
+        Ok(transport)
+    }
+
+    fn start(&self, core: &Arc<Core<M>>) {
+        let mut readers = self.readers.lock();
+        for (from, to, ctrl) in self.pending.lock().drain(..) {
+            let core = Arc::clone(core);
+            let (from, to) = (NodeId::from_index(from), NodeId::from_index(to));
+            readers.push(std::thread::spawn(move || read_link(&core, from, to, ctrl)));
+        }
+    }
+
+    fn send(&self, core: &Core<M>, from: NodeId, to: NodeId, msg: M, clock: Option<u64>) {
+        let slot = self.links.slot(from.index(), to.index());
+        let Some(mut guard) = slot.writer.try_lock() else {
+            return self.park(core, slot, from, to, msg, clock);
+        };
+        // No live link (torn down, not yet re-dialed): the message is lost,
+        // already accounted by the send path.
+        if let Some(Link { stream, scratch }) = guard.as_mut() {
+            scratch.clear();
+            msg.encode_into(scratch);
+            // The send path accounted `wire_size()` bytes: the message
+            // length before the trailing clock varint, as on every
+            // substrate. The clock rides as framing overhead.
+            debug_assert_eq!(
+                scratch.len(),
+                msg.wire_size(),
+                "wire_size != encoded length"
+            );
+            // Unhooked senders emit no trailing varint at all; receivers
+            // take the zero-clock path, which is exact: a sender with no
+            // ring has no events to order against.
+            if let Some(clock) = clock {
+                clock.encode_into(scratch);
+            }
+            // Frames parked while the writer was last busy go out *ahead*
+            // of ours in one vectored write, preserving link FIFO; an idle
+            // link (empty queue) takes the single-frame path. A write error
+            // means the peer's link is gone; the frames are simply lost,
+            // like on a real LAN.
+            let queued: Vec<Vec<u8>> = {
+                let mut q = slot.queue.lock();
+                if q.is_empty() {
+                    Vec::new()
+                } else {
+                    q.drain(..).collect()
+                }
+            };
+            if queued.is_empty() {
+                let _ = write_frame_vectored(stream, scratch);
+            } else {
+                let refs: Vec<&[u8]> = queued
+                    .iter()
+                    .map(|f| f.as_slice())
+                    .chain(std::iter::once(scratch.as_slice()))
+                    .collect();
+                let _ = write_frames_vectored(stream, &refs);
+                core.metrics.lock().on_batch_flush(queued.len());
+            }
+        }
+        self.drain_after(core, slot, guard);
+    }
+
+    /// Flips bits in the real frame, so the receiver's real decoder hits
+    /// the error.
+    fn corrupt(&self, core: &Core<M>, from: NodeId, to: NodeId, msg: M, clock: Option<u64>) {
+        let mut frame = frame_of(&msg, clock);
+        // Damage both ends of the payload: the first byte carries the
+        // message tag, so the decode on the far side fails rather than
+        // resynthesizing a different valid message.
+        if let Some(first) = frame.first_mut() {
+            *first ^= 0xFF;
+        }
+        if frame.len() > 1 {
+            // Only on multi-byte frames: on a 1-byte payload this would
+            // re-flip the same byte back to valid.
+            let last = frame.len() - 1;
+            frame[last] ^= 0xFF;
+        }
+        let slot = self.links.slot(from.index(), to.index());
+        let mut guard = slot.writer.lock();
+        if let Some(Link { stream, .. }) = guard.as_mut() {
+            let _ = write_frame_vectored(stream, &frame);
+        }
+        self.drain_after(core, slot, guard);
     }
 
     fn kill(&self, node: NodeId) {
-        // Gate sends first so traffic starts dropping immediately.
-        self.faults.set_up(node, false);
-        self.flights
-            .on_fault(node, self.now_ts(), &format!("kill {node}"));
-        if let Some(tx) = self.senders.get(node.index()) {
-            let _ = tx.send(Ctl::Crash);
-        }
-        let n = self.links.n;
-        let dead = node.index();
+        let (n, dead) = (self.links.n, node.index());
         if dead >= n {
             return;
         }
-        for other in 0..n {
-            if other == dead {
-                continue;
-            }
+        for other in (0..n).filter(|&o| o != dead) {
             for (from, to) in [(dead, other), (other, dead)] {
                 let slot = self.links.slot(from, to);
                 // Shut the read half first: this resets the connection, so
                 // a peer writer blocked on the dead node's full receive
                 // buffer errors out and releases the writer lock — which
-                // we may be about to take.
+                // we are about to take.
                 if let Some(sock) = slot.reader.lock().take() {
                     let _ = sock.shutdown(Shutdown::Both);
                 }
@@ -569,260 +403,42 @@ impl<M> TcpFaultCtl<M> {
                 }
                 // Parked frames were addressed to the dead incarnation;
                 // dropping them keeps a later restart's fresh socket from
-                // replaying stale traffic. They were accounted at enqueue.
+                // replaying stale traffic. They were already accounted.
                 slot.queue.lock().clear();
             }
         }
     }
 
-    fn restart(&self, node: NodeId) {
-        let n = self.links.n;
-        let back = node.index();
-        if back < n {
-            for other in 0..n {
-                // Links to still-down peers are re-dialed when *they*
-                // restart; dialing them now would race their own teardown.
-                if other == back || !self.faults.is_up(NodeId::from_index(other)) {
-                    continue;
-                }
-                for (from, to) in [(back, other), (other, back)] {
-                    let Ok((writer, reader)) = connect_pair() else {
-                        continue;
-                    };
-                    let slot = self.links.slot(from, to);
-                    if let Ok(clone) = reader.try_clone() {
-                        *slot.reader.lock() = Some(clone);
-                    }
-                    *slot.writer.lock() = Some(Link {
-                        stream: writer,
-                        scratch: Vec::new(),
-                    });
-                    if let Some(Some(ctrl)) = self.reader_ctrl.get(from * n + to) {
-                        let _ = ctrl.send(reader);
-                    }
-                }
+    fn restart(&self, core: &Core<M>, node: NodeId) {
+        let (n, back) = (self.links.n, node.index());
+        // Links to still-down peers are re-dialed when *they* restart;
+        // dialing them now would race their own teardown.
+        for other in (0..n).filter(|&o| o != back && core.faults.is_up(NodeId::from_index(o))) {
+            for (from, to) in [(back, other), (other, back)] {
+                let _ = self.dial(from, to);
             }
         }
-        self.faults.set_up(node, true);
-        self.flights
-            .on_fault(node, self.now_ts(), &format!("restart {node}"));
-        if let Some(tx) = self.senders.get(node.index()) {
-            let _ = tx.send(Ctl::Restart);
-        }
-    }
-}
-
-/// Collects actors before opening sockets and spawning threads.
-///
-/// Node ids are assigned in registration order, matching
-/// [`SimNet::add_node`](crate::SimNet::add_node) and
-/// [`ThreadNetBuilder::add_node`](crate::threadnet::ThreadNetBuilder::add_node),
-/// so the same wiring code can target any of the three runtimes.
-pub struct TcpNetBuilder<M: Wire + Encode + Decode> {
-    actors: Vec<Box<dyn Spawnable<M>>>,
-    hook: Option<Box<dyn NetHook + Send>>,
-    flights: Vec<(NodeId, Box<dyn FlightHook + Send>)>,
-    chaos_seed: u64,
-}
-
-impl<M: Wire + Encode + Decode> Default for TcpNetBuilder<M> {
-    fn default() -> Self {
-        Self::new()
-    }
-}
-
-impl<M: Wire + Encode + Decode> TcpNetBuilder<M> {
-    /// Creates an empty builder.
-    pub fn new() -> Self {
-        TcpNetBuilder {
-            actors: Vec::new(),
-            hook: None,
-            flights: Vec::new(),
-            chaos_seed: 0,
-        }
     }
 
-    /// Seeds the gray-failure RNG, making chaos soaks reproducible: the
-    /// same seed and plan produce the same per-frame loss/dup/corrupt
-    /// decisions (kernel scheduling still varies, as on any real network).
-    pub fn set_chaos_seed(&mut self, seed: u64) {
-        self.chaos_seed = seed;
-    }
-
-    /// Installs a network hook observing every send on the transport —
-    /// socket writes and loopback self-sends alike — with the same
-    /// callback the in-process engine uses, so per-kind message/byte
-    /// accounting (e.g. an obs recorder) works identically over TCP.
-    ///
-    /// The hook is shared across sender threads behind a mutex; keep its
-    /// callbacks cheap.
-    pub fn set_net_hook(&mut self, hook: Box<dyn NetHook + Send>) {
-        self.hook = Some(hook);
-    }
-
-    /// Installs `node`'s flight recorder (see
-    /// [`FlightHook`]). The recorder stamps every frame
-    /// the node writes with a Lamport clock — carried as a trailing varint
-    /// after the message payload, so old frames without one decode with
-    /// clock 0 — and merges the stamp on every frame the node reads.
-    pub fn set_flight_hook(&mut self, node: NodeId, hook: Box<dyn FlightHook + Send>) {
-        self.flights.push((node, hook));
-    }
-
-    /// Registers an actor and returns its future node id.
-    pub fn add_node(&mut self, actor: impl Actor<M> + Any + 'static) -> NodeId {
-        let id = NodeId::from_index(self.actors.len());
-        self.actors.push(Box::new(Holder(actor)));
-        id
-    }
-
-    /// Registers an already-boxed actor (the deployment-layer path; see
-    /// [`Spawner`](crate::Spawner)).
-    pub fn add_boxed(&mut self, actor: Box<dyn DynActor<M>>) -> NodeId {
-        let id = NodeId::from_index(self.actors.len());
-        self.actors.push(Box::new(BoxHolder(actor)));
-        id
-    }
-
-    /// Opens the full mesh of loopback sockets, spawns one thread per actor
-    /// plus one reader thread per incoming link, and returns the running
-    /// network.
-    ///
-    /// # Errors
-    ///
-    /// Any socket error while binding/connecting the mesh; no threads have
-    /// been spawned when an error is returned.
-    pub fn start(self) -> io::Result<TcpNet<M>> {
-        let n = self.actors.len();
-        let metrics = Arc::new(Mutex::new(Metrics::new()));
-        let faults = Arc::new(FaultState::new(n));
-        let links = Arc::new(LinkTable::new(n));
-
-        let mut senders = Vec::with_capacity(n);
-        let mut receivers = Vec::with_capacity(n);
-        for _ in 0..n {
-            let (tx, rx) = unbounded();
-            senders.push(tx);
-            receivers.push(rx);
-        }
-
-        // Establish every ordered link before spawning anything, so a
-        // socket failure leaves no threads behind.
-        let mut initial = Vec::new();
-        for from in 0..n {
-            for to in 0..n {
-                if from != to {
-                    let (writer, reader) = connect_pair()?;
-                    let slot = links.slot(from, to);
-                    *slot.reader.lock() = Some(reader.try_clone()?);
-                    *slot.writer.lock() = Some(Link {
-                        stream: writer,
-                        scratch: Vec::new(),
-                    });
-                    initial.push((from, to, reader));
-                }
+    fn shutdown(&self) {
+        // Nodes are gone; close the read halves so reader threads see EOF
+        // even if their peer's write half is still open somewhere, then
+        // drop the control channels so parked readers exit too.
+        for slot in &self.links.slots {
+            if let Some(sock) = slot.reader.lock().take() {
+                let _ = sock.shutdown(Shutdown::Both);
             }
         }
-
-        let epoch = Instant::now();
-        let hook: Option<SharedHook> = self.hook.map(|h| Arc::new(Mutex::new(h)));
-        let flights = Arc::new(FlightTable::new(n, self.flights));
-        let chaos = Arc::new(ChaosState::new(self.chaos_seed));
-        let pump = DelayPump::start();
-
-        let mut reader_ctrl: Vec<Option<Sender<TcpStream>>> = Vec::with_capacity(n * n);
-        reader_ctrl.resize_with(n * n, || None);
-        let mut reader_handles = Vec::with_capacity(initial.len());
-        for (from, to, reader) in initial {
-            let (ctrl_tx, ctrl_rx) = unbounded::<TcpStream>();
-            ctrl_tx.send(reader).expect("fresh channel");
-            reader_ctrl[from * n + to] = Some(ctrl_tx);
-            let tx = senders[to].clone();
-            let from_id = NodeId::from_index(from);
-            let to_id = NodeId::from_index(to);
-            let link_metrics = Arc::clone(&metrics);
-            let link_flights = Arc::clone(&flights);
-            reader_handles.push(std::thread::spawn(move || {
-                // One payload buffer per link, reused across sockets.
-                let mut payload = Vec::new();
-                // Each received socket is read to EOF/error, then the
-                // thread parks waiting for a replacement (node restart);
-                // a disconnected control channel ends the thread.
-                while let Ok(mut stream) = ctrl_rx.recv() {
-                    while let Ok(true) = read_frame_into(&mut stream, &mut payload) {
-                        // A frame is the message encoding plus an optional
-                        // trailing Lamport varint; frames from before the
-                        // clock existed decode with clock 0.
-                        let (msg, clock) = match decode_clocked::<M>(&payload) {
-                            Ok(pair) => pair,
-                            // Garbage on the wire is a counted, flight-
-                            // recorded link fault — never a teardown. The
-                            // length prefix has already advanced the stream
-                            // past the bad payload, so the next frame
-                            // parses cleanly; corruption injection is
-                            // observable rather than fatal.
-                            Err(_) => {
-                                link_metrics.lock().on_decode_error();
-                                link_flights.on_fault(
-                                    to_id,
-                                    SimTime::from_micros(epoch.elapsed().as_micros() as u64),
-                                    &format!("decode-error {from_id} {to_id}"),
-                                );
-                                continue;
-                            }
-                        };
-                        if tx.send(Ctl::Msg(from_id, msg, clock)).is_err() {
-                            return;
-                        }
-                        link_metrics.lock().on_deliver();
-                    }
-                }
-            }));
+        self.reader_ctrl.lock().clear();
+        for h in self.readers.lock().drain(..) {
+            h.join().expect("link reader thread panicked");
         }
-        let outbound = TcpOutbound {
-            links: Arc::clone(&links),
-            loopback: senders.clone(),
-            metrics: Arc::clone(&metrics),
-            faults: Arc::clone(&faults),
-            hook: hook.clone(),
-            flights: Arc::clone(&flights),
-            epoch,
-            chaos: Arc::clone(&chaos),
-            pump: Arc::clone(&pump),
-            pump_seq: Arc::new(AtomicU64::new(0)),
-        };
-        let shared = Shared {
-            outbound: Arc::new(outbound) as Arc<dyn Outbound<M>>,
-            flights: Arc::clone(&flights),
-            epoch,
-        };
-        let handles = self
-            .actors
-            .into_iter()
-            .zip(receivers)
-            .enumerate()
-            .map(|(i, (a, rx))| a.spawn(NodeId::from_index(i), rx, shared.clone()))
-            .collect();
-        Ok(TcpNet {
-            ctl: Arc::new(TcpFaultCtl {
-                senders,
-                reader_ctrl,
-                links,
-                faults,
-                flights,
-                chaos,
-                epoch,
-            }),
-            handles,
-            reader_handles,
-            metrics,
-            hook,
-            epoch,
-            drivers: Vec::new(),
-            pump,
-        })
     }
 }
+
+/// Collects actors before opening sockets and spawning threads; see
+/// [`LiveNetBuilder`].
+pub type TcpNetBuilder<M> = LiveNetBuilder<M, TcpTransport>;
 
 /// A running network of actors connected by real TCP loopback sockets.
 ///
@@ -866,349 +482,79 @@ impl<M: Wire + Encode + Decode> TcpNetBuilder<M> {
 /// while hits.load(Ordering::SeqCst) < 4 { std::thread::yield_now(); }
 /// net.shutdown();
 /// ```
-pub struct TcpNet<M: Wire> {
-    ctl: Arc<TcpFaultCtl<M>>,
-    handles: Vec<JoinHandle<Box<dyn Any + Send>>>,
-    reader_handles: Vec<JoinHandle<()>>,
-    metrics: Arc<Mutex<Metrics>>,
-    hook: Option<SharedHook>,
-    epoch: Instant,
-    drivers: Vec<FaultDriver>,
-    pump: Arc<DelayPump>,
-}
-
-impl<M: Wire> TcpNet<M> {
-    /// Sends `msg` to `to` as if it came from `from`, via the control-plane
-    /// channel (driver injection, not a measured socket hop).
-    pub fn inject(&self, from: NodeId, to: NodeId, msg: M) {
-        self.metrics.lock().on_send(msg.kind(), msg.wire_size());
-        if let Some(hook) = &self.hook {
-            let now = SimTime::from_micros(self.epoch.elapsed().as_micros() as u64);
-            hook.lock()
-                .on_send(now, from, to, msg.kind(), msg.wire_size());
-        }
-        if let Some(tx) = self.ctl.senders.get(to.index()) {
-            if tx.send(Ctl::Msg(from, msg, 0)).is_ok() {
-                self.metrics.lock().on_deliver();
-            }
-        }
-    }
-
-    /// Number of nodes.
-    pub fn node_count(&self) -> usize {
-        self.ctl.senders.len()
-    }
-
-    /// Wall-clock time since the network started, on the same axis the
-    /// node loops report to actors.
-    pub fn now(&self) -> SimTime {
-        SimTime::from_micros(self.epoch.elapsed().as_micros() as u64)
-    }
-
-    /// A detached snapshot of the transport metrics so far (a plain-data
-    /// copy, not a clone of the live registry).
-    pub fn metrics_snapshot(&self) -> MetricsSnapshot {
-        self.metrics.lock().snapshot()
-    }
-
-    /// Kills one node, as a crash: sends to it start dropping immediately,
-    /// its pending timers die, and **both halves of every socket touching
-    /// it are shut down**, so peer writer threads blocked on its dead
-    /// receive buffer error out instead of hanging. The node can come
-    /// back via [`TcpNet::restart_node`]; [`TcpNet::shutdown`] joins its
-    /// thread cleanly either way.
-    pub fn kill_node(&self, node: NodeId) {
-        self.ctl.apply(FaultAction::Crash(node));
-    }
-
-    /// Restarts a killed node: fresh socket pairs are dialed to every
-    /// live peer (their reader threads pick up the replacement sockets),
-    /// then the node's `on_restart` hook runs. Symmetric with
-    /// [`TcpNet::kill_node`].
-    pub fn restart_node(&self, node: NodeId) {
-        self.ctl.apply(FaultAction::Restart(node));
-    }
-
-    /// Blocks all traffic between `a` and `b` (both directions), dropped
-    /// sender-side before the socket write and counted as partitioned.
-    pub fn block_link(&self, a: NodeId, b: NodeId) {
-        self.ctl.apply(FaultAction::Block(a, b));
-    }
-
-    /// Unblocks traffic between `a` and `b`.
-    pub fn unblock_link(&self, a: NodeId, b: NodeId) {
-        self.ctl.apply(FaultAction::Unblock(a, b));
-    }
-
-    /// Applies any [`FaultAction`] — including the gray kinds
-    /// (degrade/restore/stall/slow) — immediately.
-    pub fn apply_action(&self, action: FaultAction) {
-        self.ctl.apply(action);
-    }
-
-    /// Replays `plan` against the live mesh in real time: a fault-driver
-    /// thread sleeps until each action's wall-clock offset (measured from
-    /// network start) and applies it. Multiple plans may be in flight;
-    /// all drivers are stopped and joined by [`TcpNet::shutdown`].
-    pub fn execute_plan(&mut self, plan: &FaultPlan) {
-        let ctl = Arc::clone(&self.ctl);
-        self.drivers.push(FaultDriver::spawn(
-            plan,
-            self.epoch,
-            Box::new(move |action| ctl.apply(action)),
-        ));
-    }
-
-    /// Stops all node threads (draining queued messages first), closes every
-    /// link, joins the reader threads, and returns each actor in node order
-    /// for inspection via `Box<dyn Any>`. Fault drivers are stopped first,
-    /// so no action fires into a half-torn-down network.
-    ///
-    /// # Panics
-    ///
-    /// Propagates a panic from any node or reader thread.
-    pub fn shutdown(self) -> Vec<Box<dyn Any + Send>> {
-        for d in self.drivers {
-            d.stop();
-        }
-        // Chaos-delayed frames still on the pump die with the network,
-        // like in-flight bytes on a torn-down socket.
-        self.pump.shutdown();
-        for tx in &self.ctl.senders {
-            let _ = tx.send(Ctl::Shutdown);
-        }
-        let actors: Vec<_> = self
-            .handles
-            .into_iter()
-            .map(|h| h.join().expect("node thread panicked"))
-            .collect();
-        // Nodes are gone; close the read halves so reader threads see EOF
-        // even if their peer's write half is still open somewhere, then
-        // drop the control channels so parked readers exit too.
-        for slot in &self.ctl.links.slots {
-            if let Some(sock) = slot.reader.lock().take() {
-                let _ = sock.shutdown(Shutdown::Both);
-            }
-        }
-        drop(self.ctl);
-        for h in self.reader_handles {
-            h.join().expect("link reader thread panicked");
-        }
-        actors
-    }
-}
+pub type TcpNet<M> = LiveNet<M, TcpTransport>;
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::engine::Context;
-    use crate::SimDuration;
-    use std::sync::atomic::{AtomicU32, Ordering};
+    use crate::engine::{Actor, Context};
+    use crate::live::suite::{self, wait_until, Echo, M};
+    use crate::live::Plane;
+    use std::io::Write;
+    use std::sync::atomic::{AtomicU32, AtomicU64, Ordering};
     use std::time::Duration;
+    use whisper_wire::{Reader, WireError, MAX_FRAME_LEN};
 
-    #[derive(Clone, Debug, PartialEq)]
-    enum M {
-        Ping(u32),
-    }
-    impl Wire for M {
-        fn wire_size(&self) -> usize {
-            self.encoded_len()
-        }
-        fn kind(&self) -> &'static str {
-            "ping"
-        }
-    }
-    impl Encode for M {
-        fn encode_into(&self, out: &mut Vec<u8>) {
-            let M::Ping(n) = self;
-            n.encode_into(out);
-        }
-    }
-    impl Decode for M {
-        fn decode_from(r: &mut whisper_wire::Reader<'_>) -> Result<Self, whisper_wire::WireError> {
-            Ok(M::Ping(u32::decode_from(r)?))
-        }
-    }
-
-    struct Echo {
-        bounces: Arc<AtomicU32>,
-    }
-    impl Actor<M> for Echo {
-        fn on_message(&mut self, ctx: &mut Context<'_, M>, from: NodeId, msg: M) {
-            let M::Ping(n) = msg;
-            self.bounces.fetch_add(1, Ordering::SeqCst);
-            if n > 0 {
-                ctx.send(from, M::Ping(n - 1));
-            }
-        }
-    }
-
-    fn wait_until(deadline_msg: &str, cond: impl Fn() -> bool) {
-        let deadline = Instant::now() + Duration::from_secs(10);
-        while !cond() {
-            assert!(Instant::now() < deadline, "{deadline_msg}");
-            std::thread::yield_now();
-        }
-    }
+    type T = TcpTransport;
 
     #[test]
     fn ping_pong_over_real_sockets() {
-        let a_hits = Arc::new(AtomicU32::new(0));
-        let b_hits = Arc::new(AtomicU32::new(0));
-        let mut b = TcpNetBuilder::new();
-        let na = b.add_node(Echo {
-            bounces: a_hits.clone(),
-        });
-        let nb = b.add_node(Echo {
-            bounces: b_hits.clone(),
-        });
-        let net = b.start().unwrap();
-        net.inject(na, nb, M::Ping(9));
-        let (a, bb) = (a_hits.clone(), b_hits.clone());
-        wait_until("ping-pong did not complete", || {
-            a.load(Ordering::SeqCst) + bb.load(Ordering::SeqCst) >= 10
-        });
-        let m = net.metrics_snapshot();
-        net.shutdown();
-        assert_eq!(m.sent_of_kind("ping"), 10);
-        // Byte accounting is the real encoded size: 1 varint byte per ping
-        // here, not a hand-estimated constant.
-        assert_eq!(m.bytes_sent(), 10);
-    }
-
-    #[test]
-    fn chaos_corrupt_counts_decode_error_and_link_survives() {
-        let a_hits = Arc::new(AtomicU32::new(0));
-        let b_hits = Arc::new(AtomicU32::new(0));
-        let mut b = TcpNetBuilder::new();
-        b.set_chaos_seed(42);
-        let na = b.add_node(Echo {
-            bounces: a_hits.clone(),
-        });
-        let nb = b.add_node(Echo {
-            bounces: b_hits.clone(),
-        });
-        let net = b.start().unwrap();
-        net.apply_action(FaultAction::Degrade(
-            na,
-            nb,
-            crate::DegradeSpec {
-                corrupt_pct: 100,
-                ..crate::DegradeSpec::default()
-            },
-        ));
-        // na's reply crosses the degraded link as a bit-flipped frame and
-        // fails to decode at nb — counted, not fatal.
-        net.inject(nb, na, M::Ping(1));
-        let m = Arc::clone(&net.metrics);
-        wait_until("decode error never counted", || {
-            m.lock().decode_errors() >= 1
-        });
-        assert_eq!(b_hits.load(Ordering::SeqCst), 0);
-
-        // The same socket keeps working once the degradation lifts: the
-        // length prefix resynchronized the stream past the bad payload.
-        net.apply_action(FaultAction::Restore(na, nb));
-        net.inject(nb, na, M::Ping(1));
-        let bh = Arc::clone(&b_hits);
-        wait_until("link did not survive the corrupted frame", || {
-            bh.load(Ordering::SeqCst) >= 1
-        });
-        net.shutdown();
-    }
-
-    #[test]
-    fn chaos_dup_delivers_frame_twice() {
-        let a_hits = Arc::new(AtomicU32::new(0));
-        let b_hits = Arc::new(AtomicU32::new(0));
-        let mut b = TcpNetBuilder::new();
-        b.set_chaos_seed(42);
-        let na = b.add_node(Echo {
-            bounces: a_hits.clone(),
-        });
-        let nb = b.add_node(Echo {
-            bounces: b_hits.clone(),
-        });
-        let net = b.start().unwrap();
-        net.apply_action(FaultAction::Degrade(
-            na,
-            nb,
-            crate::DegradeSpec {
-                dup_pct: 100,
-                ..crate::DegradeSpec::default()
-            },
-        ));
-        net.inject(nb, na, M::Ping(1));
-        let bh = Arc::clone(&b_hits);
-        wait_until("duplicate frame never arrived", || {
-            bh.load(Ordering::SeqCst) >= 2
-        });
-        net.shutdown();
+        suite::ping_pong::<T>();
     }
 
     #[test]
     fn three_node_relay_chain() {
-        struct Relay {
-            next: NodeId,
-            seen: Arc<AtomicU32>,
-        }
-        impl Actor<M> for Relay {
-            fn on_message(&mut self, ctx: &mut Context<'_, M>, _: NodeId, msg: M) {
-                self.seen.fetch_add(1, Ordering::SeqCst);
-                let M::Ping(n) = msg;
-                if n > 0 {
-                    ctx.send(self.next, M::Ping(n - 1));
-                }
-            }
-        }
-        let seen = Arc::new(AtomicU32::new(0));
-        let mut b = TcpNetBuilder::new();
-        let n0 = b.add_node(Relay {
-            next: NodeId::from_index(1),
-            seen: seen.clone(),
-        });
-        let _n1 = b.add_node(Relay {
-            next: NodeId::from_index(2),
-            seen: seen.clone(),
-        });
-        let _n2 = b.add_node(Relay {
-            next: NodeId::from_index(0),
-            seen: seen.clone(),
-        });
-        let net = b.start().unwrap();
-        net.inject(n0, n0, M::Ping(8));
-        let s = seen.clone();
-        wait_until("relay chain did not complete", || {
-            s.load(Ordering::SeqCst) >= 9
-        });
-        net.shutdown();
-        assert_eq!(seen.load(Ordering::SeqCst), 9);
+        suite::relay_chain::<T>();
     }
 
     #[test]
     fn timers_fire_on_tcp_runtime_too() {
-        struct Beeper {
-            beeps: Arc<AtomicU32>,
-        }
-        impl Actor<M> for Beeper {
-            fn on_start(&mut self, ctx: &mut Context<'_, M>) {
-                ctx.set_timer(SimDuration::from_millis(5), 3);
-            }
-            fn on_message(&mut self, _: &mut Context<'_, M>, _: NodeId, _: M) {}
-            fn on_timer(&mut self, _: &mut Context<'_, M>, token: u64) {
-                assert_eq!(token, 3);
-                self.beeps.fetch_add(1, Ordering::SeqCst);
-            }
-        }
-        let beeps = Arc::new(AtomicU32::new(0));
-        let mut b = TcpNetBuilder::new();
-        b.add_node(Beeper {
-            beeps: beeps.clone(),
-        });
-        let net = b.start().unwrap();
-        let bp = beeps.clone();
-        wait_until("timer did not fire", || bp.load(Ordering::SeqCst) >= 1);
-        net.shutdown();
+        suite::timers_fire::<T>();
+    }
+
+    #[test]
+    fn shutdown_joins_everything_and_returns_actors() {
+        suite::shutdown_returns_actors::<T>();
+    }
+
+    #[test]
+    fn chaos_degrade_drops_then_restore_heals() {
+        suite::chaos_loss_then_restore::<T>();
+    }
+
+    #[test]
+    fn chaos_corrupt_counts_decode_error_and_link_survives() {
+        suite::chaos_corrupt::<T>();
+    }
+
+    #[test]
+    fn chaos_dup_delivers_frame_twice() {
+        suite::chaos_dup::<T>();
+    }
+
+    #[test]
+    fn kill_drops_messages_and_restart_revives() {
+        suite::kill_and_restart::<T>();
+    }
+
+    #[test]
+    fn blocked_pair_drops_sender_side() {
+        suite::blocked_pair::<T>();
+    }
+
+    #[test]
+    fn inject_reaches_net_hook() {
+        suite::inject_reaches_net_hook::<T>();
+    }
+
+    #[test]
+    fn self_send_from_killed_node_counts_to_down() {
+        suite::self_send_from_killed_node_counts_to_down::<T>();
+    }
+
+    #[test]
+    fn self_send_from_slowed_node_is_delayed() {
+        suite::self_send_from_slowed_node_is_delayed::<T>();
     }
 
     #[test]
@@ -1241,9 +587,7 @@ mod tests {
             }
         }
         impl Decode for B {
-            fn decode_from(
-                r: &mut whisper_wire::Reader<'_>,
-            ) -> Result<Self, whisper_wire::WireError> {
+            fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
                 match r.u8()? {
                     0 => Ok(B::Go),
                     _ => Ok(B::Blob(Vec::<u8>::decode_from(r)?)),
@@ -1291,39 +635,35 @@ mod tests {
         b.add_node(Collect { got: got.clone() });
         let net = b.start().unwrap();
         net.inject(sender, sender, B::Go);
-        let g = got.clone();
         wait_until("blobs did not all arrive", || {
-            g.lock().len() >= payloads().len()
+            got.lock().len() >= payloads().len()
         });
         net.shutdown();
         assert_eq!(*got.lock(), payloads());
     }
 
-    /// Builds a two-node outbound by hand so tests can hold the link's
-    /// writer lock and force the contended paths deterministically. The
-    /// returned reader keeps the socket pair alive.
-    fn hand_built_outbound<W: Wire + Encode>() -> (TcpOutbound<W>, TcpStream) {
+    /// Builds a two-node plane by hand, with no node or reader threads, so
+    /// tests can hold the link's writer lock and force the contended paths
+    /// deterministically. The returned reader keeps the socket pair alive.
+    fn hand_built_plane<W: Wire + Encode + Decode>() -> (Arc<Plane<W, T>>, TcpStream) {
         let (writer, reader) = connect_pair().unwrap();
-        let links = Arc::new(LinkTable::new(2));
-        *links.slot(0, 1).writer.lock() = Some(Link {
+        let transport = TcpTransport {
+            links: LinkTable::new(2),
+            reader_ctrl: Mutex::new(Vec::new()),
+            pending: Mutex::new(Vec::new()),
+            readers: Mutex::new(Vec::new()),
+        };
+        *transport.links.slot(0, 1).writer.lock() = Some(Link {
             stream: writer,
             scratch: Vec::new(),
         });
-        let (tx0, _rx0) = unbounded();
-        let (tx1, _rx1) = unbounded();
-        let out = TcpOutbound {
-            links,
-            loopback: vec![tx0, tx1],
-            metrics: Arc::new(Mutex::new(Metrics::new())),
-            faults: Arc::new(FaultState::new(2)),
-            hook: None,
-            flights: Arc::new(FlightTable::new(2, Vec::new())),
-            epoch: Instant::now(),
-            chaos: Arc::new(ChaosState::new(0)),
-            pump: DelayPump::start(),
-            pump_seq: Arc::new(AtomicU64::new(0)),
-        };
-        (out, reader)
+        let inboxes = (0..2).map(|_| unbounded().0).collect();
+        let core = Arc::new(Core::new(inboxes, None, Vec::new(), 0));
+        (Arc::new(Plane { core, transport }), reader)
+    }
+
+    fn snapshot<W: Wire>(plane: &Plane<W, T>) -> crate::MetricsSnapshot {
+        plane.core.metrics.lock().snapshot()
     }
 
     #[derive(Clone, Debug)]
@@ -1344,47 +684,46 @@ mod tests {
             out.push(7);
         }
     }
+    impl Decode for Pulse {
+        fn decode_from(r: &mut Reader<'_>) -> Result<Self, WireError> {
+            r.u8().map(|_| Pulse)
+        }
+    }
+
+    const FROM: NodeId = NodeId(0);
+    const TO: NodeId = NodeId(1);
 
     #[test]
     fn telemetry_queues_on_contention_and_sheds_when_queue_fills() {
-        let (out, _reader) = hand_built_outbound::<Pulse>();
-        let from = NodeId::from_index(0);
-        let to = NodeId::from_index(1);
+        let (plane, _reader) = hand_built_plane::<Pulse>();
 
         // Uncontended: the telemetry frame goes out on the socket.
-        out.send(from, to, Pulse);
-        {
-            let m = out.metrics.lock().snapshot();
-            assert_eq!(m.sent_of_kind("pulse-report"), 1);
-            assert_eq!(m.lost, 0);
-        }
+        plane.send(FROM, TO, Pulse);
+        let m = snapshot(&plane);
+        assert_eq!(m.sent_of_kind("pulse-report"), 1);
+        assert_eq!(m.lost, 0);
 
         // Contended with queue space: frames park in the link's outbound
         // queue instead of shedding, and send() never blocks.
-        let guard = out.links.slot(0, 1).writer.lock();
+        let guard = plane.transport.links.slot(0, 1).writer.lock();
         for _ in 0..LINK_QUEUE_CAP {
-            out.send(from, to, Pulse);
+            plane.send(FROM, TO, Pulse);
         }
-        {
-            let m = out.metrics.lock().snapshot();
-            assert_eq!(m.sent_of_kind("pulse-report"), 1 + LINK_QUEUE_CAP as u64);
-            assert_eq!(m.lost, 0, "queued telemetry must not count as shed");
-        }
+        let m = snapshot(&plane);
+        assert_eq!(m.sent_of_kind("pulse-report"), 1 + LINK_QUEUE_CAP as u64);
+        assert_eq!(m.lost, 0, "queued telemetry must not count as shed");
 
-        // Queue full: the frame is shed — counted as sent then lost, the
-        // same accounting as the pre-batching try_lock shed path.
-        out.send(from, to, Pulse);
-        {
-            let m = out.metrics.lock().snapshot();
-            assert_eq!(m.sent_of_kind("pulse-report"), 2 + LINK_QUEUE_CAP as u64);
-            assert_eq!(m.lost, 1);
-        }
+        // Queue full: the frame is shed — counted as sent then lost.
+        plane.send(FROM, TO, Pulse);
+        let m = snapshot(&plane);
+        assert_eq!(m.sent_of_kind("pulse-report"), 2 + LINK_QUEUE_CAP as u64);
+        assert_eq!(m.lost, 1);
         drop(guard);
 
         // The next direct send drains the backlog ahead of itself in one
         // vectored write.
-        out.send(from, to, Pulse);
-        let m = out.metrics.lock().snapshot();
+        plane.send(FROM, TO, Pulse);
+        let m = snapshot(&plane);
         assert_eq!(m.batch_flushes, 1);
         assert_eq!(m.frames_coalesced, LINK_QUEUE_CAP as u64);
         assert_eq!(m.lost, 1);
@@ -1392,24 +731,20 @@ mod tests {
 
     #[test]
     fn contended_frames_flush_in_link_order() {
-        let (out, mut reader) = hand_built_outbound::<M>();
-        let from = NodeId::from_index(0);
-        let to = NodeId::from_index(1);
+        let (plane, mut reader) = hand_built_plane::<M>();
 
         // Park three protocol frames behind a held writer lock — none may
         // block or shed — then release and send a fourth directly.
-        let guard = out.links.slot(0, 1).writer.lock();
+        let guard = plane.transport.links.slot(0, 1).writer.lock();
         for n in 0..3 {
-            out.send(from, to, M::Ping(n));
+            plane.send(FROM, TO, M::Ping(n));
         }
-        {
-            let m = out.metrics.lock().snapshot();
-            assert_eq!(m.sent_of_kind("ping"), 3);
-            assert_eq!(m.lost, 0);
-            assert_eq!(m.backpressure_waits, 0);
-        }
+        let m = snapshot(&plane);
+        assert_eq!(m.sent_of_kind("ping"), 3);
+        assert_eq!(m.lost, 0);
+        assert_eq!(m.backpressure_waits, 0);
         drop(guard);
-        out.send(from, to, M::Ping(3));
+        plane.send(FROM, TO, M::Ping(3));
 
         // The wire carries the queued frames first, then the direct one:
         // link FIFO survives batching.
@@ -1419,33 +754,29 @@ mod tests {
             let (msg, _) = decode_clocked::<M>(&payload).unwrap();
             assert_eq!(msg, M::Ping(expect));
         }
-        let m = out.metrics.lock().snapshot();
+        let m = snapshot(&plane);
         assert_eq!(m.batch_flushes, 1);
         assert_eq!(m.frames_coalesced, 3);
     }
 
     #[test]
     fn full_queue_applies_backpressure_to_protocol_traffic_without_loss() {
-        let (out, mut reader) = hand_built_outbound::<M>();
-        let out = Arc::new(out);
-        let from = NodeId::from_index(0);
-        let to = NodeId::from_index(1);
+        let (plane, mut reader) = hand_built_plane::<M>();
 
-        let guard = out.links.slot(0, 1).writer.lock();
+        let guard = plane.transport.links.slot(0, 1).writer.lock();
         for n in 0..LINK_QUEUE_CAP as u32 {
-            out.send(from, to, M::Ping(n));
+            plane.send(FROM, TO, M::Ping(n));
         }
         // One more protocol frame from another thread: the queue is full,
         // so that sender must wait for the writer rather than shed. Only
         // release the lock once it has registered the backpressure wait,
         // so the blocking path is exercised deterministically.
-        let o2 = Arc::clone(&out);
+        let p2 = Arc::clone(&plane);
         let blocked = std::thread::spawn(move || {
-            o2.send(from, to, M::Ping(LINK_QUEUE_CAP as u32));
+            p2.send(FROM, TO, M::Ping(LINK_QUEUE_CAP as u32));
         });
-        let o3 = Arc::clone(&out);
         wait_until("sender never hit the full-queue backpressure path", || {
-            o3.metrics.lock().snapshot().backpressure_waits == 1
+            snapshot(&plane).backpressure_waits == 1
         });
         drop(guard);
         blocked.join().unwrap();
@@ -1456,29 +787,10 @@ mod tests {
             let (msg, _) = decode_clocked::<M>(&payload).unwrap();
             assert_eq!(msg, M::Ping(expect));
         }
-        let m = out.metrics.lock().snapshot();
+        let m = snapshot(&plane);
         assert_eq!(m.lost, 0, "protocol traffic must never shed");
         assert_eq!(m.backpressure_waits, 1);
         assert_eq!(m.sent_of_kind("ping"), LINK_QUEUE_CAP as u64 + 1);
-    }
-
-    #[test]
-    fn shutdown_joins_everything_and_returns_actors() {
-        let mut b = TcpNetBuilder::new();
-        b.add_node(Echo {
-            bounces: Arc::new(AtomicU32::new(0)),
-        });
-        b.add_node(Echo {
-            bounces: Arc::new(AtomicU32::new(0)),
-        });
-        b.add_node(Echo {
-            bounces: Arc::new(AtomicU32::new(0)),
-        });
-        let net = b.start().unwrap();
-        assert_eq!(net.node_count(), 3);
-        let actors = net.shutdown();
-        assert_eq!(actors.len(), 3);
-        assert!(actors[0].downcast_ref::<Echo>().is_some());
     }
 
     #[test]
@@ -1496,9 +808,8 @@ mod tests {
 
         // Round trip while healthy.
         net.inject(na, nb, M::Ping(1));
-        let (a, bb) = (a_hits.clone(), b_hits.clone());
         wait_until("healthy ping-pong did not complete", || {
-            a.load(Ordering::SeqCst) + bb.load(Ordering::SeqCst) >= 2
+            a_hits.load(Ordering::SeqCst) + b_hits.load(Ordering::SeqCst) >= 2
         });
 
         // Kill b: traffic to it drops sender-side instead of blocking.
@@ -1506,60 +817,64 @@ mod tests {
         std::thread::sleep(Duration::from_millis(20));
         let before = b_hits.load(Ordering::SeqCst);
         net.inject(na, na, M::Ping(0)); // keep a alive; a's reply path is gone
-        let mn = net.metrics_snapshot();
-        assert!(mn.sent >= 3);
+        assert!(net.metrics_snapshot().sent >= 3);
 
         // Restart b: fresh sockets, on_restart fires, traffic flows again
-        // over the re-dialed links (inject to a, which pings b via socket).
+        // over the re-dialed links (a replies to b over the new link).
         net.restart_node(nb);
         std::thread::sleep(Duration::from_millis(20));
-        net.inject(nb, na, M::Ping(1)); // a replies to b over the new link
-        let bb = b_hits.clone();
+        net.inject(nb, na, M::Ping(1));
         wait_until("restarted node never heard socket traffic", || {
-            bb.load(Ordering::SeqCst) > before
+            b_hits.load(Ordering::SeqCst) > before
         });
         net.shutdown();
     }
 
     #[test]
     fn killing_receiver_unblocks_stuck_writer() {
-        // Wedge a writer for real: a garbage frame makes node 1's reader
-        // park its socket (decode error), then a flood of frames fills the
-        // kernel buffers until the write blocks while holding the link's
-        // writer lock — the worst case for a kill, which must take that
-        // same lock. Shutting the read half first is what breaks the
-        // blocked write; without it this test hangs.
+        // Wedge a writer for real: an oversized length prefix makes node
+        // 1's reader fail the frame read and park its socket, then a flood
+        // of frames fills the kernel buffers until the write blocks while
+        // holding the link's writer lock — the worst case for a kill,
+        // which must take that same lock. Shutting the read half first is
+        // what breaks the blocked write; without it this test hangs.
         let mut b = TcpNetBuilder::new();
-        b.add_node(Echo {
-            bounces: Arc::new(AtomicU32::new(0)),
-        });
-        b.add_node(Echo {
-            bounces: Arc::new(AtomicU32::new(0)),
-        });
+        for _ in 0..2 {
+            b.add_node(Echo {
+                bounces: Arc::new(AtomicU32::new(0)),
+            });
+        }
         let net = b.start().unwrap();
-        let links = Arc::clone(&net.ctl.links);
+        let plane = Arc::clone(&net.plane);
+        let written = Arc::new(AtomicU64::new(0));
         let done = Arc::new(AtomicU32::new(0));
-        let d = done.clone();
+        let (w, d) = (written.clone(), done.clone());
         let writer_thread = std::thread::spawn(move || {
-            let mut slot = links.slot(0, 1).writer.lock();
+            let mut slot = plane.transport.links.slot(0, 1).writer.lock();
             if let Some(Link { stream, .. }) = slot.as_mut() {
-                // 64 KiB of junk per frame: the first one kills the
-                // reader's decode loop, the rest pile into the socket
-                // until a write blocks, then errors when the kill shuts
-                // the connection down.
-                let junk = vec![0xFFu8; 64 * 1024];
-                while write_frame_vectored(stream, &junk).is_ok() {}
+                let prefix = (MAX_FRAME_LEN as u32 + 1).to_le_bytes();
+                if stream.write_all(&prefix).is_ok() {
+                    let junk = vec![0xFFu8; 64 * 1024];
+                    while write_frame_vectored(stream, &junk).is_ok() {
+                        w.fetch_add(1, Ordering::SeqCst);
+                    }
+                }
             }
             drop(slot);
             d.fetch_add(1, Ordering::SeqCst);
         });
-        // Let the writer wedge against full buffers, then kill the
-        // receiver; the blocked write must error out promptly.
-        std::thread::sleep(Duration::from_millis(100));
+        // The writes must stop making progress: the writer is wedged.
+        let mut last = u64::MAX;
+        wait_until("writer never wedged against the parked reader", || {
+            std::thread::sleep(Duration::from_millis(100));
+            let now = written.load(Ordering::SeqCst);
+            std::mem::replace(&mut last, now) == now && now > 0
+        });
+        assert_eq!(done.load(Ordering::SeqCst), 0, "writer stopped on its own");
+        // Kill the receiver; the blocked write must error out promptly.
         net.kill_node(NodeId::from_index(1));
-        let d = done.clone();
         wait_until("writer stayed blocked after receiver was killed", || {
-            d.load(Ordering::SeqCst) >= 1
+            done.load(Ordering::SeqCst) >= 1
         });
         writer_thread.join().unwrap();
         net.shutdown();

@@ -243,7 +243,7 @@ fn simnet_and_threadnet_agree_on_message_counts() {
     let tb = builder.add_node(Bouncer {
         seen: thr_seen.clone(),
     });
-    let net = builder.start();
+    let net = builder.start().expect("channels open");
     net.inject(
         ta,
         tb,
